@@ -10,9 +10,9 @@ oversubscribed fabric — with the observability plane enabled, then shows
 what the plane recorded: the SLO verdict table, the congestion-vs-latency
 correlation computed from the windowed series, the hottest links, per-class
 admission waits, an excerpt of the Prometheus exposition any scraper would
-ingest — and, from the host-side layer, where the *wall clock* went
-(per-subsystem kernel blame + the projected parallel-kernel speedup bound)
-and a Chrome-trace export loadable in Perfetto / ``chrome://tracing``.
+ingest, the event-locality report with its projected parallel-kernel
+speedup bound, and a Chrome-trace export loadable in Perfetto /
+``chrome://tracing``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import repro.net.cluster as cluster_mod
 from repro.bench.fleet import run_fleet
 from repro.obs import (
     dump_chrome_trace,
-    format_hostprof_table,
     format_locality_report,
     format_slo_table,
     to_prometheus,
@@ -32,11 +31,9 @@ MB = 1024 * 1024
 
 
 def main() -> None:
-    # Everything below reads the *simulated* clock except the host profiler
-    # — enable it (plus the locality analyzer and the flight recorder the
-    # Chrome trace draws on) on the fleet's cluster as it is built.
+    # Enable the locality analyzer and the flight recorder the Chrome trace
+    # draws on, on the fleet's cluster as it is built.
     def _on_create(cluster) -> None:
-        cluster.enable_host_profiler()
         cluster.enable_locality_analyzer()
         cluster.enable_flight_recorder()
 
@@ -127,28 +124,12 @@ def main() -> None:
                 break
     print(f"  ... ({len(text.splitlines())} lines total)")
 
-    # -- where does the WALL clock go? ------------------------------------
-    # Everything above is simulated time: what the modeled cluster did.
-    # The host profiler answers a different question — which kernel
-    # subsystem burned the real CPU seconds this run cost.  These numbers
-    # use the host clock (stamped clock="host", exempt from the
-    # bit-identical discipline) and change nothing simulated: the
-    # --hostprof differential fuzz band proves the digests are identical
-    # with profiling on or off.
-    cluster = result.cluster
-    print("\n== wall-clock blame (host clock, per kernel subsystem) ==")
-    print(format_hostprof_table(cluster.hostprof.report()))
-    print(
-        "  'dispatch' is event pop + un-instrumented callback time;"
-        " admission/directory/flowsched are the contended control paths"
-        " a parallel kernel would have to shard."
-    )
-
-    # The locality analyzer is the go/no-go oracle for that sharding
+    # The locality analyzer is the go/no-go oracle for sharding the kernel
     # (ROADMAP item 3): how many events are provably rack-local within the
     # conservative-PDES lookahead window, how often partitions would have
     # to synchronize, and the resulting speedup *bound* per partition count
     # (an upper bound: barrier overhead is not priced in).
+    cluster = result.cluster
     print("\n== event locality / projected PDES speedup bound ==")
     print(format_locality_report(cluster.locality.report()))
 

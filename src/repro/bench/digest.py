@@ -19,8 +19,7 @@ A digest hashes, for one scenario run:
   control flow that happens to produce the same latencies).
 
 ``tests/test_golden_determinism.py`` asserts these digests against values
-recorded before the fast-path refactor; ``benchmarks/bench_perf.py`` reruns
-them as a smoke check next to the throughput numbers.
+recorded before the fast-path refactor.
 """
 
 from __future__ import annotations
@@ -202,7 +201,7 @@ GOLDEN_CELLS: dict[str, Callable[[], str]] = {
 }
 
 #: digests recorded on the pre-fast-path kernel (the PR 5 seed state),
-#: asserted by tests/test_golden_determinism.py and benchmarks/bench_perf.py.
+#: asserted by tests/test_golden_determinism.py.
 RECORDED_DIGESTS = {
     "fig7_flat": "385562b63a6a29f796821f4a2f741c1ed2288dd8c59393027d9cdf45235c6293",
     "fault_matrix_2rack": "bed96547f59609fc279e39b660430fc0dcec919fc40ac97b163bfcd55f02c982",

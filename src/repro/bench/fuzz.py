@@ -20,10 +20,9 @@ diverging semantic event** (time, kind, resource, detail) instead of
 leaving a bare pair of hashes.  ``--flight`` runs the whole band with
 recording on, checking both that digests still match (recording is
 observational) and that the on/off semantic records are identical.
-``--hostprof`` additionally enables the host-clock self-profiler and the
-event-locality analyzer on every cluster and compares each profiled digest
-against a bare (unprofiled) run of the same spec: profiling must change no
-simulated result, byte for byte.
+``--locality`` additionally enables the event-locality analyzer on every
+cluster and compares each analyzed digest against a bare run of the same
+spec: the analyzer must change no simulated result, byte for byte.
 """
 
 from __future__ import annotations
@@ -236,11 +235,11 @@ def _flight_recorders():
 
 
 @contextmanager
-def _profilers():
-    """Enable hostprof + locality on every cluster a scenario builds.
+def _locality_analyzers():
+    """Enable the locality analyzer on every cluster a scenario builds.
 
     Same ON_CREATE mechanism as :func:`_flight_recorders`; composing both
-    (``--flight --hostprof``) exercises the chained ``on_pop`` path — the
+    (``--flight --locality``) exercises the chained ``on_pop`` path — the
     locality analyzer takes the hook first and the flight recorder chains
     after it.
     """
@@ -251,7 +250,6 @@ def _profilers():
     def _hook(cluster) -> None:
         if previous is not None:
             previous(cluster)
-        cluster.enable_host_profiler()
         cluster.enable_locality_analyzer()
 
     cluster_mod.ON_CREATE = _hook
@@ -361,10 +359,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="record every run; also compare the semantic transfer timelines",
     )
     parser.add_argument(
-        "--hostprof",
+        "--locality",
         action="store_true",
-        help="profile every run (hostprof + locality); also compare each "
-        "profiled digest against a bare run of the same spec",
+        help="attach the locality analyzer to every run; also compare each "
+        "analyzed digest against a bare run of the same spec",
     )
     parser.add_argument(
         "--control-plane",
@@ -403,8 +401,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     for seed in range(args.start, args.start + args.seeds):
         spec = generate_spec(seed)
         divergence = None
-        bare = run_spec(spec, fast_paths=True) if args.hostprof else None
-        with _profilers() if args.hostprof else nullcontext():
+        bare = run_spec(spec, fast_paths=True) if args.locality else None
+        with _locality_analyzers() if args.locality else nullcontext():
             if args.flight:
                 on, on_records = run_spec_recorded(spec, fast_paths=True)
                 off, off_records = run_spec_recorded(spec, fast_paths=False)
@@ -418,7 +416,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                     divergence = bisect_divergence(spec)
         if bare is not None and on != bare:
             ok = False
-            print(f"FAIL {spec.describe()}: profiling changed the digest")
+            print(f"FAIL {spec.describe()}: the locality analyzer changed the digest")
         if not ok:
             failures += 1
         if args.verbose or not ok:

@@ -68,12 +68,11 @@ class Cluster:
         #: flight recorder, or None when disabled (the default: every
         #: instrumentation site guards on ``cluster.flight is not None``).
         self.flight = None
-        #: host-clock self-profiler, or None when disabled (the default:
-        #: kernel sites guard on ``sim.host_prof is not None``).
-        self.hostprof = None
         #: event-locality analyzer, or None when disabled (the default:
         #: tagging sites guard on ``sim.locality is not None``).
         self.locality = None
+        #: the observers' per-pop hooks, in install order (see _set_pop_hooks).
+        self._pop_hooks: tuple = ()
         self.nodes: list[Node] = [
             Node(self.sim, node_id, cluster=self) for node_id in range(num_nodes)
         ]
@@ -107,48 +106,20 @@ class Cluster:
             recorder = FlightRecorder(
                 self.sim, capacity=capacity if capacity is not None else DEFAULT_CAPACITY
             )
-            previous = self.sim.on_pop
-            if previous is None:
-                self.sim.on_pop = recorder.record_pop
-            else:
-                # A locality analyzer already holds the hook: chain after it
-                # (both observers see every pop, in install order).
-                record = recorder.record_pop
-
-                def _chained(when, seq, event, _prev=previous, _next=record):
-                    _prev(when, seq, event)
-                    _next(when, seq, event)
-
-                self.sim.on_pop = _chained
+            self._set_pop_hooks(self._pop_hooks + (recorder.record_pop,))
             self.flight = recorder
         return self.flight
 
     def disable_flight_recorder(self) -> None:
         """Uninstall the recorder (its recorded ring stays readable).
 
-        Resets ``sim.on_pop`` outright: a locality analyzer chained *after*
-        the recorder is dropped too (re-enable it if you still need it).
+        Only the recorder's pop hook is removed: a locality analyzer keeps
+        seeing every pop whether it was installed before or after.
         """
         if self.flight is not None:
-            self.sim.on_pop = None
+            record_pop = self.flight.record_pop
+            self._set_pop_hooks(tuple(h for h in self._pop_hooks if h != record_pop))
             self.flight = None
-
-    def enable_host_profiler(self):
-        """Install (and return) the host-clock self-profiler.
-
-        Wall-clock only: the profiler reads ``perf_counter_ns`` at region
-        boundaries and touches no simulated state, so simulated results are
-        byte-identical with it on or off (the ``--hostprof`` differential
-        fuzz band locks this down).  Its output is host-dependent by
-        design — the one observability surface exempt from the
-        bit-identical discipline, stamped ``clock="host"`` on export.
-        """
-        from repro.obs.hostprof import HostProfiler
-
-        if self.hostprof is None:
-            self.hostprof = HostProfiler()
-            self.sim.host_prof = self.hostprof
-        return self.hostprof
 
     def enable_locality_analyzer(self):
         """Install (and return) the event-locality analyzer.
@@ -161,20 +132,25 @@ class Cluster:
 
         if self.locality is None:
             analyzer = LocalityAnalyzer(self)
-            previous = self.sim.on_pop
-            if previous is None:
-                self.sim.on_pop = analyzer.on_pop
-            else:
-                on_pop = analyzer.on_pop
-
-                def _chained(when, seq, event, _prev=previous, _next=on_pop):
-                    _prev(when, seq, event)
-                    _next(when, seq, event)
-
-                self.sim.on_pop = _chained
+            self._set_pop_hooks(self._pop_hooks + (analyzer.on_pop,))
             self.locality = analyzer
             self.sim.locality = analyzer
         return self.locality
+
+    def _set_pop_hooks(self, hooks: tuple) -> None:
+        """Install ``hooks`` as ``sim.on_pop``, each called on every pop in order."""
+        self._pop_hooks = hooks
+        if not hooks:
+            self.sim.on_pop = None
+        elif len(hooks) == 1:
+            self.sim.on_pop = hooks[0]
+        else:
+
+            def _chained(when, seq, event):
+                for hook in hooks:
+                    hook(when, seq, event)
+
+            self.sim.on_pop = _chained
 
     # -- convenience --------------------------------------------------------
     def __len__(self) -> int:

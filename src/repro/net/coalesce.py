@@ -182,10 +182,6 @@ class CoalescedRun:
         "_flight_flow",
     )
 
-    #: host-profiler category for planning/accounting work done by this run
-    #: class (``ConvoyRun`` overrides it — same code paths, separate blame).
-    _prof_cat = "coalesce"
-
     def __init__(
         self,
         sim: Simulator,
@@ -204,9 +200,6 @@ class CoalescedRun:
         src_schedule: Optional[InflightSchedule] = None,
         boundaries: Optional[tuple[Sequence[float], Sequence[float], Sequence[float]]] = None,
     ):
-        prof = sim.host_prof
-        if prof is not None:
-            prof.enter(self._prof_cat)
         self.sim = sim
         self.src = src
         self.dst = dst
@@ -265,8 +258,6 @@ class CoalescedRun:
         #: True when an owning domain attached holds/schedule synchronously
         #: at formation time (so ``run`` must not attach again).
         self.preattached = False
-        if prof is not None:
-            prof.exit()
 
     # -- virtual-hold protocol (shared by every claimed resource) ----------
     def occupied(self, at: float) -> int:
@@ -438,9 +429,6 @@ class CoalescedRun:
 
     def _account_full(self, count: int) -> None:
         """Link-account blocks ``[_accounted, count)`` at their full hold."""
-        prof = self.sim.host_prof
-        if prof is not None:
-            prof.enter(self._prof_cat)
         flow = self.flow
         flight = self._flight
         for j in range(self._accounted, count):
@@ -453,8 +441,6 @@ class CoalescedRun:
                 flight.record(self.s[j], "grant", self._flight_key, detail)
                 flight.record(self.e[j], "release", self._flight_key, detail)
         self._accounted = max(self._accounted, count)
-        if prof is not None:
-            prof.exit()
 
     def _account_partial(self, j: int, hold: float) -> None:
         """One block released mid-transmission (interrupt semantics)."""
@@ -474,9 +460,6 @@ class CoalescedRun:
         Must run after the inflight schedule is closed so the marks write
         through to the stored counter (and fire any re-registered waiters).
         """
-        prof = self.sim.host_prof
-        if prof is not None:
-            prof.enter(self._prof_cat)
         loc = self.sim.locality
         if loc is not None:
             loc.arrival(self.src.node_id, self.dst.node_id, count)
@@ -501,8 +484,6 @@ class CoalescedRun:
                     self._flight_key,
                     f"{self._flight_flow}/{nbytes}",
                 )
-        if prof is not None:
-            prof.exit()
 
     # -- the driver --------------------------------------------------------
     def run(self) -> Generator:
@@ -933,9 +914,6 @@ def build_pull_run(
     """
     from repro.net.flowsched import path_latency, path_transmission_time
 
-    prof = dst.sim.host_prof
-    if prof is not None:
-        prof.enter("coalesce")
     avail = min(source_entry.blocks_ready, horizon)
     src_schedule = source_entry._inflight if horizon > avail else None
     ready_times = None
@@ -969,8 +947,6 @@ def build_pull_run(
         ready_times=ready_times,
         src_schedule=src_schedule,
     )
-    if prof is not None:
-        prof.exit()
     return run
 
 

@@ -100,10 +100,10 @@ LAT = PHASE_LAT  #: links released, block arrives at ``arr_at``
 RUN = PHASE_RUN  #: driving a coalesced/convoy run
 
 # Observability counters live per cluster (``cluster.fastpath_stats``,
-# :class:`repro.net.fastpath.FastpathStats`) — surfaced by
-# ``benchmarks/bench_perf.py`` and the observability plane.  They used to
-# be a module-global dict here, which leaked across scenarios in one
-# process; :func:`repro.net.fastpath.stats_for` is the only access path.
+# :class:`repro.net.fastpath.FastpathStats`) — surfaced by the
+# observability plane; :func:`repro.net.fastpath.stats_for` is the only
+# access path (a module-global dict would leak across scenarios in one
+# process).
 
 
 #: quiet gate: the bottleneck's stream set must be unchanged for this many
@@ -227,9 +227,6 @@ class ConvoyRun(CoalescedRun):
     """
 
     __slots__ = ("domain", "handle", "q", "q0_at_formation")
-
-    #: convoy work shows up under its own blame category, not "coalesce".
-    _prof_cat = "convoy"
 
     def __init__(self, *args, **kwargs):
         CoalescedRun.__init__(self, *args, **kwargs)
@@ -584,19 +581,6 @@ def maybe_form(handle: StreamHandle, block_index: int) -> Optional[ConvoyRun]:
     only a plausible lockstep group pays for validation and planning, and a
     refused plan stamps a cooldown so per-block retries short-circuit.
     """
-    prof = handle.src.sim.host_prof
-    if prof is None:
-        return _maybe_form(handle, block_index)
-    # The body has many early returns; the try/finally keeps the region
-    # balanced on every one of them.
-    prof.enter("convoy")
-    try:
-        return _maybe_form(handle, block_index)
-    finally:
-        prof.exit()
-
-
-def _maybe_form(handle: StreamHandle, block_index: int) -> Optional[ConvoyRun]:
     if not ENABLED:
         return None
     sim = handle.src.sim

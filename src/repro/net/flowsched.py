@@ -222,16 +222,11 @@ class Reservation:
         )
         claims = [(src.uplink, 1), (dst.downlink, 1)]
         claims.extend((link.resource, 1) for link in self.path)
-        prof = self.sim.host_prof
-        if prof is not None:
-            prof.enter("flowsched")
         self.request = MultiRequest(
             self.sim,
             claims,
             priority=int(flow.flow_class),
         )
-        if prof is not None:
-            prof.exit()
         loc = self.sim.locality
         if loc is not None:
             # A reservation whose claim set spans shared tier links couples
@@ -258,16 +253,6 @@ class Reservation:
         if self._closed:
             return
         self._closed = True
-        prof = self.sim.host_prof
-        if prof is not None:
-            prof.enter("flowsched")
-        try:
-            self._release_inner()
-        finally:
-            if prof is not None:
-                prof.exit()
-
-    def _release_inner(self) -> None:
         if self.request.granted:
             hold = self.sim.now - self.request.granted_at
             self.src.uplink_sched.account(self.flow, self.nbytes, hold)

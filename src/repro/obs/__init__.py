@@ -46,8 +46,6 @@ from repro.obs.export import (
     to_prometheus,
 )
 from repro.obs.chrometrace import dump_chrome_trace, to_chrome_trace
-from repro.obs.hostprof import HostProfiler
-from repro.obs.hostprof import format_table as format_hostprof_table
 from repro.obs.locality import LocalityAnalyzer, format_locality_report
 from repro.obs.metrics import MetricsRegistry, nearest_rank
 from repro.obs.trace import Span, Tracer
@@ -67,8 +65,6 @@ __all__ = [
     "to_prometheus",
     "to_json",
     "nearest_rank",
-    "HostProfiler",
-    "format_hostprof_table",
     "LocalityAnalyzer",
     "format_locality_report",
     "to_chrome_trace",

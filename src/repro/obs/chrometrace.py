@@ -19,9 +19,7 @@ Timestamps convert simulated seconds to trace microseconds.  The output is
 deterministic for a deterministic scenario: events are emitted in sorted
 order, pids/tids are assigned from sorted track names, and
 :func:`dump_chrome_trace` serializes with sorted keys — CI pins a golden
-digest of a fixed-seed export on exactly this property.  (Host-clock
-profiler output deliberately does NOT appear here; wall-clock figures are
-exempt from determinism and live in the ``host_*`` metric families.)
+digest of a fixed-seed export on exactly this property.
 """
 
 from __future__ import annotations

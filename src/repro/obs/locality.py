@@ -40,8 +40,8 @@ This analyzer answers those questions from a single sequential run:
 Determinism: tagging writes one inert slot per event and the hook only
 appends to analyzer-private arrays — simulated results are byte-identical
 with the analyzer on or off (the differential fuzz band pins this).  The
-report itself (unlike ``hostprof``) is a pure function of the simulated
-run and is therefore deterministic.
+report itself is a pure function of the simulated run and is therefore
+deterministic.
 """
 
 from __future__ import annotations

@@ -362,7 +362,6 @@ class Simulator:
         "unhandled_failures",
         "on_step",
         "on_pop",
-        "host_prof",
         "locality",
     )
 
@@ -370,8 +369,7 @@ class Simulator:
         self._now = float(start_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._sequence = 0
-        #: Events processed by :meth:`step` so far (the denominator of the
-        #: events/sec throughput metric in ``benchmarks/bench_perf.py``).
+        #: Events processed by :meth:`step` so far.
         self.events_processed = 0
         #: Failed events whose exception was never consumed by a waiter.
         self.unhandled_failures: list[Event] = []
@@ -389,13 +387,6 @@ class Simulator:
         #: :class:`repro.obs.flight.FlightRecorder` via
         #: ``Cluster.enable_flight_recorder``.
         self.on_pop: Optional[Callable[[float, int, Event], None]] = None
-        #: Optional :class:`repro.obs.hostprof.HostProfiler` attributing
-        #: *host* wall-clock self-time to kernel subsystems.  Same
-        #: discipline as the hooks above: ``None`` costs one branch per
-        #: instrumented region, and the profiler only ever reads the host
-        #: clock — simulated results are identical on or off.  Installed by
-        #: ``Cluster.enable_host_profiler``.
-        self.host_prof: Optional[Any] = None
         #: Optional :class:`repro.obs.locality.LocalityAnalyzer` whose
         #: tagging sites stamp events with their owning node (one branch
         #: per site when unset).  Its pop hook rides ``on_pop``.  Installed
@@ -467,13 +458,6 @@ class Simulator:
         """Process a single event."""
         if not self._queue:
             raise SimulationError("step() called on an empty event queue")
-        prof = self.host_prof
-        if prof is not None:
-            # "dispatch" is the outermost profiled region: every nested
-            # region (admission, directory, ...) subtracts from its
-            # self-time, so un-instrumented callback work stays charged
-            # here and category totals cover the whole step.
-            prof.enter("dispatch")
         when, _priority, seq, event = heapq.heappop(self._queue)
         self._now = when
         self.events_processed += 1
@@ -488,8 +472,6 @@ class Simulator:
                 callback(event)
         if not event._ok and not event.defused:
             self.unhandled_failures.append(event)
-        if prof is not None:
-            prof.exit()
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
@@ -511,20 +493,13 @@ class Simulator:
 
         queue = self._queue
         step = self.step
-        prof = self.host_prof
-        if prof is not None:
-            prof.begin_run()
-        try:
-            while queue:
-                if stop_event is not None and stop_event.callbacks is _PROCESSED:
-                    break
-                if queue[0][0] > stop_time:
-                    self._now = stop_time
-                    break
-                step()
-        finally:
-            if prof is not None:
-                prof.end_run()
+        while queue:
+            if stop_event is not None and stop_event.callbacks is _PROCESSED:
+                break
+            if queue[0][0] > stop_time:
+                self._now = stop_time
+                break
+            step()
 
         if stop_event is not None:
             if not stop_event.triggered:

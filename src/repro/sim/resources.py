@@ -144,14 +144,9 @@ class MultiRequest(Event):
         #: recorded but not queued (the queue pop would be dead weight); the
         #: first add_callback schedules it (see below).
         self._silent = False
-        prof = sim.host_prof
-        if prof is not None:
-            prof.enter("admission")
         for resource, _amount in self.claims:
             resource._enqueue(self)
         self._try_grant(initial=True)
-        if prof is not None:
-            prof.exit()
 
     def add_callback(self, callback) -> None:
         if self._silent:
@@ -359,9 +354,6 @@ class Resource:
             pass
 
     def _grant(self) -> None:
-        prof = self.sim.host_prof
-        if prof is not None:
-            prof.enter("admission")
         waiting = self._waiting
         capacity = self.capacity
         index = 0
@@ -401,8 +393,6 @@ class Resource:
             self._in_use += req.amount
             self._granted.add(id(req))
             req.succeed(req)
-        if prof is not None:
-            prof.exit()
 
 
 class PriorityResource(Resource):
