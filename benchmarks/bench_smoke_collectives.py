@@ -7,24 +7,11 @@ and returns a positive latency, without the full Figure 7 grids.
 
 from repro.bench.experiments import MB
 from repro.bench.reporting import format_table
-from repro.bench.scenarios import (
-    measure_allgather,
-    measure_allreduce,
-    measure_alltoall,
-    measure_broadcast,
-    measure_gather,
-    measure_point_to_point_rtt,
-    measure_reduce,
-)
+from repro.bench.scenarios import MEASURES, measure_point_to_point_rtt
 
 _PRIMITIVES = {
     "point_to_point": lambda system, n, size: measure_point_to_point_rtt(system, size),
-    "broadcast": measure_broadcast,
-    "gather": measure_gather,
-    "reduce": measure_reduce,
-    "allreduce": measure_allreduce,
-    "allgather": measure_allgather,
-    "alltoall": measure_alltoall,
+    **MEASURES,
 }
 
 

@@ -14,12 +14,13 @@ Run with::
 
 from __future__ import annotations
 
-from repro.apps import FailureSchedule, run_model_serving
+from repro.apps import run_model_serving
+from repro.net.failure import FailureEvent
 
 
 def main() -> None:
     num_queries = 24
-    failure = FailureSchedule(node_id=3, fail_at=1.2, recover_at=2.4)
+    failure = FailureEvent(node_id=3, fail_at=1.2, recover_at=2.4)
     print("8-model ensemble, 8 nodes, one replica fails and rejoins")
     print("=" * 72)
     results = {}

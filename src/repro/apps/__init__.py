@@ -7,7 +7,7 @@ returns an :class:`~repro.apps.common.AppResult` with throughput and
 per-iteration latencies.
 """
 
-from repro.apps.common import AppResult, FailureSchedule
+from repro.apps.common import AppResult
 from repro.apps.moe import run_moe_routing
 from repro.apps.param_server import run_async_sgd
 from repro.apps.rl import run_rl_training
@@ -16,7 +16,6 @@ from repro.apps.sync_training import run_sync_training
 
 __all__ = [
     "AppResult",
-    "FailureSchedule",
     "run_async_sgd",
     "run_model_serving",
     "run_moe_routing",

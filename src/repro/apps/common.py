@@ -18,21 +18,6 @@ from repro.store.objects import ObjectID, ObjectValue
 PLANE_SYSTEMS = ("hoplite", "ray", "dask")
 
 
-@dataclass(frozen=True)
-class FailureSchedule:
-    """One induced failure used by the fault-tolerance experiments (Figure 12)."""
-
-    node_id: int
-    fail_at: float
-    recover_at: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.fail_at < 0:
-            raise ValueError("fail_at must be non-negative")
-        if self.recover_at is not None and self.recover_at < self.fail_at:
-            raise ValueError("recover_at must not precede fail_at")
-
-
 @dataclass
 class AppResult:
     """Outcome of one application run."""
@@ -71,16 +56,6 @@ def make_plane(system: str, cluster: Cluster, options: Optional[HopliteOptions] 
     if system == "dask":
         return TaskSystemPlane(cluster, DASK_PROFILE)
     raise ValueError(f"unknown plane system {system!r}; expected one of {PLANE_SYSTEMS}")
-
-
-def apply_failures(cluster: Cluster, failures) -> None:
-    """Install the failure schedule(s) on the cluster, if any."""
-    if failures is None:
-        return
-    if isinstance(failures, FailureSchedule):
-        failures = [failures]
-    for failure in failures:
-        cluster.schedule_failure(failure.node_id, failure.fail_at, failure.recover_at)
 
 
 def reconstruct_on_recovery(

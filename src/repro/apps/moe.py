@@ -27,7 +27,7 @@ standard MoE capacity trick: an expert accepts at most
 dropped at the sender (smaller shards, ``dropped_bytes`` accounted in the
 metrics).
 
-A :class:`~repro.apps.common.FailureSchedule` may be attached; a worker that
+A :class:`~repro.net.failure.FailureEvent` may be attached; a worker that
 loses its node retries its share of the current iteration after the node
 rejoins (its re-``Put``s double as the framework's object reconstruction),
 and the other workers' transfers ride through via the directory's failure
@@ -40,13 +40,12 @@ from typing import Dict, Generator, Optional, Tuple
 
 from repro.apps.common import (
     AppResult,
-    FailureSchedule,
-    apply_failures,
     make_cluster,
     make_plane,
     retry_across_failures,
 )
 from repro.net.config import NetworkConfig
+from repro.net.failure import FailureEvent, schedule
 from repro.sim import Event
 from repro.store.objects import ObjectID, ObjectValue
 
@@ -132,7 +131,7 @@ def run_moe_routing(
     expert_skew: float = 0.0,
     capacity_factor: Optional[float] = None,
     network: Optional[NetworkConfig] = None,
-    failure: Optional[FailureSchedule] = None,
+    failure: Optional[FailureEvent] = None,
 ) -> AppResult:
     """Run ``num_iterations`` of MoE routing and report iterations/second.
 
@@ -147,7 +146,8 @@ def run_moe_routing(
         raise ValueError("expert_skew must be non-negative")
     cluster = make_cluster(num_nodes, network)
     plane = make_plane(system, cluster)
-    apply_failures(cluster, failure)
+    if failure is not None:
+        schedule(cluster, [failure])
     sim = cluster.sim
 
     # Per-iteration routing plans: worker -> expert byte matrix, with the

@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 from typing import Generator, Optional
 
-from repro.apps.common import AppResult, FailureSchedule, apply_failures, make_cluster, make_plane
+from repro.apps.common import AppResult, make_cluster, make_plane
 from repro.net.config import NetworkConfig
+from repro.net.failure import FailureEvent, schedule
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 from repro.tasksys.system import TaskSystem
 from repro.workloads.models import ModelProfile, model_profile
@@ -37,7 +38,7 @@ def run_async_sgd(
     system: str = "hoplite",
     num_iterations: int = 10,
     network: Optional[NetworkConfig] = None,
-    failure: Optional[FailureSchedule] = None,
+    failure: Optional[FailureEvent] = None,
     server_update_time: float = 0.01,
 ) -> AppResult:
     """Run the asynchronous parameter-server workload and report throughput."""
@@ -47,7 +48,8 @@ def run_async_sgd(
         raise ValueError("async SGD needs a server node and at least one worker")
     cluster = make_cluster(num_nodes, network)
     plane = make_plane(system, cluster)
-    apply_failures(cluster, failure)
+    if failure is not None:
+        schedule(cluster, [failure])
     task_system = TaskSystem(cluster, plane)
     sim = cluster.sim
 

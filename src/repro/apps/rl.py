@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 from typing import Generator, Optional
 
-from repro.apps.common import AppResult, FailureSchedule, apply_failures, make_cluster, make_plane
+from repro.apps.common import AppResult, make_cluster, make_plane
 from repro.net.config import NetworkConfig
+from repro.net.failure import FailureEvent, schedule
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 from repro.tasksys.system import TaskSystem
 from repro.workloads.models import ModelProfile, model_profile
@@ -54,7 +55,7 @@ def run_rl_training(
     num_iterations: int = 10,
     model: "ModelProfile | str" = "rl_policy",
     network: Optional[NetworkConfig] = None,
-    failure: Optional[FailureSchedule] = None,
+    failure: Optional[FailureEvent] = None,
 ) -> AppResult:
     """Run IMPALA-style or A3C-style training and report samples/second."""
     algorithm = algorithm.lower()
@@ -67,7 +68,8 @@ def run_rl_training(
 
     cluster = make_cluster(num_nodes, network)
     plane = make_plane(system, cluster)
-    apply_failures(cluster, failure)
+    if failure is not None:
+        schedule(cluster, [failure])
     task_system = TaskSystem(cluster, plane)
     sim = cluster.sim
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from typing import Generator, Optional, Sequence
 
-from repro.apps.common import AppResult, FailureSchedule, apply_failures, make_cluster, make_plane
+from repro.apps.common import AppResult, make_cluster, make_plane
 from repro.net.config import NetworkConfig
+from repro.net.failure import FailureEvent, schedule
 from repro.store.objects import ObjectID, ObjectValue
 from repro.tasksys.system import TaskError, TaskSystem
 from repro.workloads.models import SERVING_ENSEMBLE, SERVING_QUERY_BYTES, model_profile
@@ -42,7 +43,7 @@ def run_model_serving(
     num_queries: int = 20,
     ensemble: Sequence[str] = SERVING_ENSEMBLE,
     network: Optional[NetworkConfig] = None,
-    failure: Optional[FailureSchedule] = None,
+    failure: Optional[FailureEvent] = None,
     query_bytes: int = SERVING_QUERY_BYTES,
 ) -> AppResult:
     """Serve ``num_queries`` ensemble queries and report queries/second."""
@@ -52,7 +53,8 @@ def run_model_serving(
         )
     cluster = make_cluster(num_nodes, network)
     plane = make_plane(system, cluster)
-    apply_failures(cluster, failure)
+    if failure is not None:
+        schedule(cluster, [failure])
     task_system = TaskSystem(cluster, plane)
     sim = cluster.sim
 

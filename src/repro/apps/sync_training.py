@@ -11,15 +11,11 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.apps.common import AppResult, make_cluster, make_plane
-from repro.collectives.gloo import GlooCollectives
-from repro.collectives.mpi import MPICollectives
+from repro.apps.common import PLANE_SYSTEMS, AppResult, make_cluster, make_plane
+from repro.collectives import STATIC_OPERATIONS
 from repro.net.config import NetworkConfig
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 from repro.workloads.models import ModelProfile, model_profile
-
-STATIC_SYSTEMS = ("openmpi", "gloo")
-PLANE_SYSTEMS = ("hoplite", "ray", "dask")
 
 
 def run_sync_training(
@@ -34,7 +30,7 @@ def run_sync_training(
         model = model_profile(model)
     if num_nodes < 2:
         raise ValueError("synchronous training needs at least two nodes")
-    if system in STATIC_SYSTEMS:
+    if (system, "allreduce") in STATIC_OPERATIONS:
         duration, round_latencies = _run_static(num_nodes, model, system, num_rounds, network)
     elif system in PLANE_SYSTEMS:
         duration, round_latencies = _run_plane(num_nodes, model, system, num_rounds, network)
@@ -64,11 +60,8 @@ def _run_static(
     """OpenMPI / Gloo: compute, then a static allreduce, once per round."""
     cluster = make_cluster(num_nodes, network)
     sim = cluster.sim
-    if system == "openmpi":
-        ops = [MPICollectives(cluster).allreduce(model.param_bytes) for _ in range(num_rounds)]
-    else:
-        gloo = GlooCollectives(cluster)
-        ops = [gloo.allreduce_ring_chunked(model.param_bytes) for _ in range(num_rounds)]
+    make_op = STATIC_OPERATIONS[(system, "allreduce")]
+    ops = [make_op(cluster, model.param_bytes) for _ in range(num_rounds)]
 
     round_ends: list[list[float]] = [[] for _ in range(num_rounds)]
 

@@ -18,24 +18,22 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.apps.common import FailureSchedule
+from repro.apps.common import make_cluster
 from repro.apps.moe import run_moe_routing
 from repro.apps.param_server import run_async_sgd
 from repro.apps.rl import run_rl_training
 from repro.apps.serving import run_model_serving
 from repro.apps.sync_training import run_sync_training
 from repro.bench.scenarios import (
-    measure_allgather,
+    MEASURES,
     measure_allreduce,
-    measure_alltoall,
     measure_broadcast,
-    measure_gather,
     measure_point_to_point_rtt,
     measure_reduce,
 )
 from repro.core.options import HopliteOptions
-from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
+from repro.net.failure import FailureEvent
 from repro.core.runtime import HopliteRuntime
 from repro.store.objects import ObjectID, ObjectValue
 
@@ -83,15 +81,6 @@ _FIG7_SYSTEMS = {
     "alltoall": ("hoplite", "openmpi", "gloo", "ray", "dask"),
 }
 
-_MEASURES = {
-    "broadcast": measure_broadcast,
-    "gather": measure_gather,
-    "reduce": measure_reduce,
-    "allreduce": measure_allreduce,
-    "allgather": measure_allgather,
-    "alltoall": measure_alltoall,
-}
-
 
 def collective_rows(
     sizes: Sequence[int],
@@ -113,7 +102,7 @@ def collective_rows(
     systems_by_primitive = systems_by_primitive or _FIG7_SYSTEMS
     rows = []
     for primitive in primitives:
-        measure = _MEASURES[primitive]
+        measure = MEASURES[primitive]
         for size in sizes:
             for num_nodes in node_counts:
                 row: dict = {
@@ -309,8 +298,8 @@ def fig12_fault_tolerance(
     Returns ``{"serving": {"hoplite": [...], "ray": [...]},
     "async_sgd": {...}}`` where each list is the latency timeline.
     """
-    serving_failure = FailureSchedule(node_id=3, fail_at=2.0, recover_at=4.5)
-    sgd_failure = FailureSchedule(node_id=3, fail_at=3.0, recover_at=6.0)
+    serving_failure = FailureEvent(node_id=3, fail_at=2.0, recover_at=4.5)
+    sgd_failure = FailureEvent(node_id=3, fail_at=3.0, recover_at=6.0)
     serving = {
         system: run_model_serving(
             8, system, num_queries, failure=serving_failure
@@ -405,7 +394,7 @@ def moe_routing(
 
 def directory_latency_microbenchmark(num_nodes: int = 16, repeats: int = 32) -> dict:
     """Average latency of writing and reading object locations (Section 5.1.1)."""
-    cluster = Cluster(num_nodes=num_nodes, network=NetworkConfig())
+    cluster = make_cluster(num_nodes)
     runtime = HopliteRuntime(cluster)
     sim = cluster.sim
     samples = {"publish": [], "lookup": []}

@@ -170,11 +170,9 @@ def run_spec(
             spec.racks, spec.num_nodes // spec.racks, oversubscription=spec.oversubscription
         )
     network = NetworkConfig(**network_kwargs) if network_kwargs else None
-    options = HopliteOptions(topology_aware=True) if spec.topology_aware else None
-
     kwargs: dict = {"network": network, "flow_stats": {}}
-    if options is not None and spec.collective != "alltoall":
-        kwargs["options"] = options
+    if spec.system == "hoplite":
+        kwargs["options"] = HopliteOptions(topology_aware=spec.topology_aware)
     if spec.arrival_delays is not None:
         kwargs["arrival_delays"] = list(spec.arrival_delays)
     if spec.failure_rate > 0:
@@ -186,7 +184,7 @@ def run_spec(
             seed=spec.failure_seed,
         )
 
-    measure = getattr(sc, f"measure_{spec.collective}")
+    measure = sc.MEASURES[spec.collective]
     _reset_object_ids()
     with fastpath(fast_paths):
         latency = measure(spec.system, spec.num_nodes, spec.nbytes, **kwargs)

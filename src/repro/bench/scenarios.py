@@ -19,53 +19,53 @@ boundaries as the paper:
 * the asynchrony variants stagger participant arrivals by a fixed interval
   and measure from the arrival of the first participant (Figure 8).
 
-``measure_allgather`` and ``measure_alltoall`` additionally accept a failure
-schedule (:class:`~repro.net.failure.FailureEvent` list).  The object planes
-ride through failures with Hoplite's per-transfer recovery plus framework
-reconstruction (a recovered producer re-``Put``s its objects, Section 6);
-the static systems abort and restart the whole job once every node is back —
-the MPI failure model.
+The six collective drivers (:data:`MEASURES`) are thin wrappers over one
+private driver, ``_measure``, which reads three tables:
+
+* :data:`OPTIMAL` — the analytic pipelined bound, returned for the
+  ``"optimal"`` system;
+* :data:`repro.collectives.STATIC_OPERATIONS` — which static (MPI/Gloo)
+  system implements which collective, and how to build the operation;
+  a static system missing from it raises :class:`UnsupportedScenarioError`;
+* ``_PLANE_BODIES`` — one object-plane scenario per collective (reduce and
+  allreduce share one, differing only in who fetches the result).
+
+Static operations run in one of two shapes.  Broadcast, gather, reduce and
+allreduce start every rank after its arrival delay and run once (the
+asynchrony experiments).  Allgather and alltoall accept a failure schedule
+(:class:`~repro.net.failure.FailureEvent` list) and run under the MPI
+failure model: the job aborts and restarts once every node is back.  The
+shapes stay separate because they schedule different kernel events, which
+the golden digests pin.  The object planes ride through failures with
+Hoplite's per-transfer recovery plus framework reconstruction (a recovered
+producer re-``Put``s its objects, Section 6).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, Optional, Sequence
+from dataclasses import dataclass, fields
+from functools import partial
+from typing import Callable, Generator, Optional, Sequence
 
-from repro.apps.common import reconstruct_on_recovery, retry_across_failures
-from repro.collectives.gloo import GlooCollectives
-from repro.collectives.mpi import MPICollectives
-from repro.collectives.naive import (
-    DASK_PROFILE,
-    RAY_PROFILE,
-    TaskSystemPlane,
+from repro.apps.common import (
+    PLANE_SYSTEMS,
+    make_cluster,
+    make_plane,
+    reconstruct_on_recovery,
+    retry_across_failures,
 )
-from repro.collectives.plane import CommPlane, HoplitePlane
+from repro.collectives import STATIC_OPERATIONS, STATIC_SYSTEMS, MPICollectives
+from repro.collectives.plane import CommPlane
 from repro.core.options import HopliteOptions
-from repro.core.runtime import HopliteRuntime
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
-from repro.net.failure import FailureEvent
-from repro.net.failure import schedule as _install_failures
+from repro.net.failure import FailureEvent, schedule
 from repro.net.flowsched import FlowClass
 from repro.net.transport import TransferError
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 from repro.tasksys import CollectiveOrchestrator, CollectiveSpec, TaskSystem
 
-SUPPORTED_SYSTEMS = (
-    "hoplite",
-    "openmpi",
-    "gloo",
-    "gloo_ring",
-    "gloo_ring_chunked",
-    "gloo_halving_doubling",
-    "ray",
-    "dask",
-    "optimal",
-)
-
-PLANE_SYSTEMS = ("hoplite", "ray", "dask")
-STATIC_SYSTEMS = ("openmpi", "gloo", "gloo_ring", "gloo_ring_chunked", "gloo_halving_doubling")
+SUPPORTED_SYSTEMS = (*PLANE_SYSTEMS, *STATIC_SYSTEMS, "optimal")
 
 
 class UnsupportedScenarioError(ValueError):
@@ -131,20 +131,8 @@ class FlowUsage:
     fastpath: dict[str, int]
 
     def as_dict(self) -> dict:
-        return {
-            "elapsed": self.elapsed,
-            "events_processed": self.events_processed,
-            "links": self.links,
-            "bytes_by_class": self.bytes_by_class,
-            "mean_uplink_utilization": self.mean_uplink_utilization,
-            "max_uplink_utilization": self.max_uplink_utilization,
-            "control_messages": self.control_messages,
-            "tier_bytes": self.tier_bytes,
-            "tier_busy_time": self.tier_busy_time,
-            "cross_rack_fraction": self.cross_rack_fraction,
-            "cross_zone_fraction": self.cross_zone_fraction,
-            "fastpath": self.fastpath,
-        }
+        # Shallow on purpose: ``links`` stays a list of LinkUsage objects.
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 def collect_flow_usage(cluster: Cluster) -> dict:
@@ -170,20 +158,22 @@ def collect_flow_usage(cluster: Cluster) -> dict:
     bytes_by_class = {cls.name.lower(): 0 for cls in FlowClass}
     uplink_utils: list[float] = []
     control_messages = 0
+
+    def _usage(node_id: int, direction: str, sched, tier: str = "nic") -> LinkUsage:
+        return LinkUsage(
+            node_id=node_id,
+            direction=direction,
+            utilization=sched.utilization(elapsed),
+            bytes_by_class={
+                cls.name.lower(): count for cls, count in sched.bytes_by_class.items()
+            },
+            reservations=sched.reservations_granted,
+            tier=tier,
+        )
+
     for node in cluster.nodes:
         for sched in (node.uplink_sched, node.downlink_sched):
-            links.append(
-                LinkUsage(
-                    node_id=node.node_id,
-                    direction=sched.direction,
-                    utilization=sched.utilization(elapsed),
-                    bytes_by_class={
-                        cls.name.lower(): count
-                        for cls, count in sched.bytes_by_class.items()
-                    },
-                    reservations=sched.reservations_granted,
-                )
-            )
+            links.append(_usage(node.node_id, sched.direction, sched))
         for cls, count in node.uplink_sched.bytes_by_class.items():
             bytes_by_class[cls.name.lower()] += count
         uplink_utils.append(node.uplink_sched.utilization(elapsed))
@@ -198,19 +188,7 @@ def collect_flow_usage(cluster: Cluster) -> dict:
     }
     egress_tiers = {"rack_up": "rack_uplink", "zone_up": "inter_zone"}
     for link in cluster.fabric.iter_links():
-        links.append(
-            LinkUsage(
-                node_id=-1,
-                direction=link.name,
-                utilization=link.sched.utilization(elapsed),
-                bytes_by_class={
-                    cls.name.lower(): count
-                    for cls, count in link.sched.bytes_by_class.items()
-                },
-                reservations=link.sched.reservations_granted,
-                tier=link.tier,
-            )
-        )
+        links.append(_usage(-1, link.name, link.sched, link.tier))
         tier = egress_tiers.get(link.tier)
         if tier is not None:
             tier_bytes[tier] += sum(link.sched.bytes_by_class.values())
@@ -269,20 +247,6 @@ def _check_system(system: str) -> None:
         )
 
 
-def _make_cluster(num_nodes: int, network: Optional[NetworkConfig]) -> Cluster:
-    return Cluster(num_nodes=num_nodes, network=network or NetworkConfig())
-
-
-def _make_plane(system: str, cluster: Cluster, options: Optional[HopliteOptions]) -> CommPlane:
-    if system == "hoplite":
-        return HoplitePlane(HopliteRuntime(cluster, options=options))
-    if system == "ray":
-        return TaskSystemPlane(cluster, RAY_PROFILE)
-    if system == "dask":
-        return TaskSystemPlane(cluster, DASK_PROFILE)
-    raise UnsupportedScenarioError(f"{system!r} is not an object-plane system")
-
-
 def _resolve_delays(
     count: int,
     arrival_interval: float,
@@ -319,403 +283,79 @@ def measure_point_to_point_rtt(
     if system == "optimal":
         return 2.0 * nbytes / network.bandwidth
 
-    cluster = _make_cluster(2, network)
+    cluster = make_cluster(2, network)
     sim = cluster.sim
-    finish: dict[str, float] = {}
 
-    if system == "openmpi" or system in STATIC_SYSTEMS:
+    if system in STATIC_SYSTEMS:
         mpi = MPICollectives(cluster)
 
         def _round_trip() -> Generator:
             yield from mpi.send(0, 1, nbytes)
             yield from mpi.send(1, 0, nbytes)
-            finish["t"] = sim.now
+            return sim.now
 
-        sim.process(_round_trip(), name="p2p-mpi")
+        sender = sim.process(_round_trip(), name="p2p-mpi")
         sim.run()
-        return finish["t"]
+        return sender.value
 
-    plane = _make_plane(system, cluster, options)
+    plane = make_plane(system, cluster, options)
     ping_id = ObjectID.of("p2p-ping")
     pong_id = ObjectID.of("p2p-pong")
 
     def _sender() -> Generator:
         yield from plane.put(cluster.node(0), ping_id, ObjectValue.of_size(nbytes))
         yield from plane.get(cluster.node(0), pong_id)
-        finish["t"] = sim.now
+        return sim.now
 
     def _responder() -> Generator:
         yield from plane.get(cluster.node(1), ping_id)
         yield from plane.put(cluster.node(1), pong_id, ObjectValue.of_size(nbytes))
 
-    sim.process(_sender(), name="p2p-sender")
+    sender = sim.process(_sender(), name="p2p-sender")
     sim.process(_responder(), name="p2p-responder")
     sim.run()
-    return finish["t"]
+    return sender.value
 
 
 # ---------------------------------------------------------------------------
-# Broadcast (Figures 7, 8a, 14)
+# The collective driver and its tables
 # ---------------------------------------------------------------------------
 
+#: the analytic pipelined bound per collective, what the ``"optimal"``
+#: system reports: ``(num_nodes, nbytes, bandwidth) -> seconds``.
+OPTIMAL: dict[str, Callable[[int, int, float], float]] = {
+    "broadcast": lambda n, nbytes, bandwidth: nbytes / bandwidth,
+    "gather": lambda n, nbytes, bandwidth: (n - 1) * nbytes / bandwidth,
+    "reduce": lambda n, nbytes, bandwidth: nbytes / bandwidth,
+    "allreduce": lambda n, nbytes, bandwidth: 2.0 * nbytes / bandwidth * (n - 1) / n,
+    "allgather": lambda n, nbytes, bandwidth: (n - 1) * nbytes / bandwidth,
+    "alltoall": lambda n, nbytes, bandwidth: (n - 1) * nbytes / bandwidth,
+}
 
-def measure_broadcast(
-    system: str,
-    num_nodes: int,
-    nbytes: int,
-    arrival_interval: float = 0.0,
-    arrival_delays: Optional[Sequence[float]] = None,
-    network: Optional[NetworkConfig] = None,
-    options: Optional[HopliteOptions] = None,
-    flow_stats: Optional[dict] = None,
-) -> float:
-    """Latency of broadcasting one object from node 0 to all other nodes.
+#: static collectives run under the MPI failure model (abort and restart);
+#: the others run once, each rank after its own arrival delay.
+_RESTARTED_STATIC = ("allgather", "alltoall")
 
-    For the static systems the per-rank ``arrival_delays`` (or the uniform
-    ``arrival_interval``) cover all ``num_nodes`` ranks including the root;
-    for the object-plane systems they cover the ``num_nodes - 1`` receivers.
-    If ``flow_stats`` is given (a dict), it is filled with the run's per-flow
-    link utilization report (see :func:`collect_flow_usage`).
+
+def _run_static_ranks(cluster: Cluster, op, delays: Sequence[float]) -> list[float]:
+    """Run a static collective once, rank ``r`` arriving after ``delays[r]``.
+
+    Returns every rank's finish time, in rank order.
     """
-    _check_system(system)
-    network = network or NetworkConfig()
-    if system == "optimal":
-        return nbytes / network.bandwidth
-    if num_nodes < 2:
-        raise ValueError("broadcast needs at least two nodes")
-
-    cluster = _make_cluster(num_nodes, network)
     sim = cluster.sim
-    finish_times: list[float] = []
 
-    if system in STATIC_SYSTEMS:
-        if system in ("gloo_ring", "gloo_ring_chunked", "gloo_halving_doubling"):
-            raise UnsupportedScenarioError("Gloo's allreduce variants do not broadcast")
-        if system == "openmpi":
-            op = MPICollectives(cluster).broadcast(nbytes, root=0)
-        else:
-            op = GlooCollectives(cluster).broadcast(nbytes, root=0)
-        delays = _resolve_delays(num_nodes, arrival_interval, arrival_delays)
-
-        def _rank(rank: int, delay: float) -> Generator:
-            if delay > 0:
-                yield sim.timeout(delay)
-            result = yield from op.participate(rank)
-            finish_times.append(result.finish_time)
-
-        for rank in range(num_nodes):
-            sim.process(_rank(rank, delays[rank]), name=f"bcast-rank-{rank}")
-        sim.run()
-        if flow_stats is not None:
-            flow_stats.update(collect_flow_usage(cluster))
-        return max(finish_times)
-
-    plane = _make_plane(system, cluster, options)
-    object_id = ObjectID.unique("bcast")
-    delays = _resolve_delays(num_nodes - 1, arrival_interval, arrival_delays)
-
-    def _scenario() -> Generator:
-        # The sender's Put completes before the measurement window opens.
-        yield from plane.put(cluster.node(0), object_id, ObjectValue.of_size(nbytes))
-        epoch = sim.now
-        receivers = []
-
-        def _receiver(node_id: int, delay: float) -> Generator:
-            if delay > 0:
-                yield sim.timeout(delay)
-            yield from plane.get(cluster.node(node_id), object_id)
-            finish_times.append(sim.now - epoch)
-
-        for index, node_id in enumerate(range(1, num_nodes)):
-            receivers.append(
-                sim.process(
-                    _receiver(node_id, delays[index]),
-                    name=f"bcast-recv-{node_id}",
-                )
-            )
-        yield sim.all_of(receivers)
-
-    sim.process(_scenario(), name="bcast-scenario")
-    sim.run()
-    if flow_stats is not None:
-        flow_stats.update(collect_flow_usage(cluster))
-    return max(finish_times)
-
-
-# ---------------------------------------------------------------------------
-# Gather (Figures 7, 14)
-# ---------------------------------------------------------------------------
-
-
-def measure_gather(
-    system: str,
-    num_nodes: int,
-    nbytes: int,
-    network: Optional[NetworkConfig] = None,
-    options: Optional[HopliteOptions] = None,
-    flow_stats: Optional[dict] = None,
-) -> float:
-    """Latency for node 0 to gather one object from every other node."""
-    _check_system(system)
-    network = network or NetworkConfig()
-    if system == "optimal":
-        return (num_nodes - 1) * nbytes / network.bandwidth
-    if num_nodes < 2:
-        raise ValueError("gather needs at least two nodes")
-
-    cluster = _make_cluster(num_nodes, network)
-    sim = cluster.sim
-    result: dict[str, float] = {}
-
-    if system in STATIC_SYSTEMS:
-        if system != "openmpi":
-            raise UnsupportedScenarioError(f"{system!r} does not implement gather")
-        op = MPICollectives(cluster).gather(nbytes, root=0)
-        finishes: list[float] = []
-
-        def _rank(rank: int) -> Generator:
-            rank_result = yield from op.participate(rank)
-            finishes.append(rank_result.finish_time)
-
-        for rank in range(num_nodes):
-            sim.process(_rank(rank), name=f"gather-rank-{rank}")
-        sim.run()
-        if flow_stats is not None:
-            flow_stats.update(collect_flow_usage(cluster))
-        return max(finishes)
-
-    plane = _make_plane(system, cluster, options)
-    object_ids = [ObjectID.unique(f"gather-{i}") for i in range(1, num_nodes)]
-
-    def _scenario() -> Generator:
-        puts = []
-        for index, node_id in enumerate(range(1, num_nodes)):
-            puts.append(
-                sim.process(
-                    plane.put(
-                        cluster.node(node_id), object_ids[index], ObjectValue.of_size(nbytes)
-                    ),
-                    name=f"gather-put-{node_id}",
-                )
-            )
-        yield sim.all_of(puts)
-        epoch = sim.now
-        gets = [
-            sim.process(
-                plane.get(cluster.node(0), object_id), name=f"gather-get-{object_id}"
-            )
-            for object_id in object_ids
-        ]
-        yield sim.all_of(gets)
-        result["latency"] = sim.now - epoch
-
-    sim.process(_scenario(), name="gather-scenario")
-    sim.run()
-    if flow_stats is not None:
-        flow_stats.update(collect_flow_usage(cluster))
-    return result["latency"]
-
-
-# ---------------------------------------------------------------------------
-# Reduce (Figures 7, 8b, 14, 15)
-# ---------------------------------------------------------------------------
-
-
-def measure_reduce(
-    system: str,
-    num_nodes: int,
-    nbytes: int,
-    arrival_interval: float = 0.0,
-    arrival_delays: Optional[Sequence[float]] = None,
-    network: Optional[NetworkConfig] = None,
-    options: Optional[HopliteOptions] = None,
-    flow_stats: Optional[dict] = None,
-) -> float:
-    """Latency of reducing one object per node into a single result at the caller.
-
-    In the synchronized case (no staggering) every ``Put`` completes before
-    the ``Reduce`` is issued, matching Figure 7.  With staggered arrivals the
-    ``Reduce`` is issued immediately and objects trickle in, matching
-    Figure 8b.  The caller's ``Get`` runs concurrently with the Reduce so the
-    result streams to the caller as it is produced (Section 3.3).
-    """
-    _check_system(system)
-    network = network or NetworkConfig()
-    if system == "optimal":
-        return nbytes / network.bandwidth
-    if num_nodes < 2:
-        raise ValueError("reduce needs at least two nodes")
-
-    cluster = _make_cluster(num_nodes, network)
-    sim = cluster.sim
-    delays = _resolve_delays(num_nodes, arrival_interval, arrival_delays)
-    synchronized = max(delays) <= 0.0
-
-    if system in STATIC_SYSTEMS:
-        if system != "openmpi":
-            raise UnsupportedScenarioError(f"{system!r} does not implement reduce")
-        op = MPICollectives(cluster).reduce(nbytes, root=0)
-        finishes: dict[int, float] = {}
-
-        def _rank(rank: int, delay: float) -> Generator:
-            if delay > 0:
-                yield sim.timeout(delay)
-            rank_result = yield from op.participate(rank)
-            finishes[rank] = rank_result.finish_time
-
-        for rank in range(num_nodes):
-            sim.process(_rank(rank, delays[rank]), name=f"reduce-rank-{rank}")
-        sim.run()
-        if flow_stats is not None:
-            flow_stats.update(collect_flow_usage(cluster))
-        return finishes[0]
-
-    plane = _make_plane(system, cluster, options)
-    source_ids = [ObjectID.unique(f"reduce-src-{i}") for i in range(num_nodes)]
-    target_id = ObjectID.unique("reduce-target")
-    result: dict[str, float] = {}
-
-    def _producer(node_id: int, delay: float) -> Generator:
+    def _rank(rank: int, delay: float) -> Generator:
         if delay > 0:
             yield sim.timeout(delay)
-        yield from plane.put(
-            cluster.node(node_id), source_ids[node_id], ObjectValue.of_size(nbytes)
-        )
+        rank_result = yield from op.participate(rank)
+        return rank_result.finish_time
 
-    def _scenario() -> Generator:
-        producers = [
-            sim.process(
-                _producer(node_id, delays[node_id]),
-                name=f"reduce-put-{node_id}",
-            )
-            for node_id in range(num_nodes)
-        ]
-        if synchronized:
-            # Figure 7 methodology: all Puts complete before Reduce is called.
-            yield sim.all_of(producers)
-        epoch = sim.now
-        reduce_proc = sim.process(
-            plane.reduce(cluster.node(0), target_id, source_ids, ReduceOp.SUM),
-            name="reduce-call",
-        )
-        yield from plane.get(cluster.node(0), target_id)
-        yield reduce_proc
-        result["latency"] = sim.now - epoch
-
-    sim.process(_scenario(), name="reduce-scenario")
+    ranks = [
+        sim.process(_rank(rank, delay), name=f"static-rank-{rank}")
+        for rank, delay in enumerate(delays)
+    ]
     sim.run()
-    if flow_stats is not None:
-        flow_stats.update(collect_flow_usage(cluster))
-    return result["latency"]
-
-
-# ---------------------------------------------------------------------------
-# AllReduce (Figures 7, 8c, 14)
-# ---------------------------------------------------------------------------
-
-
-def measure_allreduce(
-    system: str,
-    num_nodes: int,
-    nbytes: int,
-    arrival_interval: float = 0.0,
-    arrival_delays: Optional[Sequence[float]] = None,
-    network: Optional[NetworkConfig] = None,
-    options: Optional[HopliteOptions] = None,
-    flow_stats: Optional[dict] = None,
-) -> float:
-    """Latency for every node to hold the reduction of one object per node.
-
-    Hoplite composes allreduce as reduce followed by broadcast; every
-    participant issues its ``Get`` on the reduce target immediately, so the
-    result streams out while it is still being produced (Section 3.4.3).
-    """
-    _check_system(system)
-    network = network or NetworkConfig()
-    if system == "optimal":
-        return 2.0 * nbytes / network.bandwidth * (num_nodes - 1) / num_nodes
-    if num_nodes < 2:
-        raise ValueError("allreduce needs at least two nodes")
-
-    cluster = _make_cluster(num_nodes, network)
-    sim = cluster.sim
-    delays = _resolve_delays(num_nodes, arrival_interval, arrival_delays)
-    synchronized = max(delays) <= 0.0
-
-    if system in STATIC_SYSTEMS:
-        if system == "openmpi":
-            op = MPICollectives(cluster).allreduce(nbytes)
-        else:
-            gloo = GlooCollectives(cluster)
-            if system in ("gloo", "gloo_ring_chunked"):
-                op = gloo.allreduce_ring_chunked(nbytes)
-            elif system == "gloo_ring":
-                op = gloo.allreduce_ring(nbytes)
-            else:
-                op = gloo.allreduce_halving_doubling(nbytes)
-        finishes: list[float] = []
-
-        def _rank(rank: int, delay: float) -> Generator:
-            if delay > 0:
-                yield sim.timeout(delay)
-            rank_result = yield from op.participate(rank)
-            finishes.append(rank_result.finish_time)
-
-        for rank in range(num_nodes):
-            sim.process(_rank(rank, delays[rank]), name=f"allreduce-rank-{rank}")
-        sim.run()
-        if flow_stats is not None:
-            flow_stats.update(collect_flow_usage(cluster))
-        return max(finishes)
-
-    plane = _make_plane(system, cluster, options)
-    source_ids = [ObjectID.unique(f"allreduce-src-{i}") for i in range(num_nodes)]
-    target_id = ObjectID.unique("allreduce-target")
-    result: dict[str, float] = {}
-
-    def _producer(node_id: int, delay: float) -> Generator:
-        if delay > 0:
-            yield sim.timeout(delay)
-        yield from plane.put(
-            cluster.node(node_id), source_ids[node_id], ObjectValue.of_size(nbytes)
-        )
-
-    def _scenario() -> Generator:
-        producers = [
-            sim.process(
-                _producer(node_id, delays[node_id]),
-                name=f"allreduce-put-{node_id}",
-            )
-            for node_id in range(num_nodes)
-        ]
-        if synchronized:
-            yield sim.all_of(producers)
-        epoch = sim.now
-        reduce_proc = sim.process(
-            plane.reduce(cluster.node(0), target_id, source_ids, ReduceOp.SUM),
-            name="allreduce-call",
-        )
-        fetchers = [
-            sim.process(
-                plane.get(cluster.node(node_id), target_id),
-                name=f"allreduce-get-{node_id}",
-            )
-            for node_id in range(num_nodes)
-        ]
-        yield sim.all_of(fetchers)
-        yield reduce_proc
-        result["latency"] = sim.now - epoch
-
-    sim.process(_scenario(), name="allreduce-scenario")
-    sim.run()
-    if flow_stats is not None:
-        flow_stats.update(collect_flow_usage(cluster))
-    return result["latency"]
-
-
-# ---------------------------------------------------------------------------
-# Allgather / Alltoall (collective-family extension; MoE + batch-norm shapes)
-# ---------------------------------------------------------------------------
+    return [rank.value for rank in ranks]
 
 
 def _run_static_with_restarts(
@@ -731,7 +371,6 @@ def _run_static_with_restarts(
     partial state leaks into the retry.
     """
     sim = cluster.sim
-    finish: dict[str, float] = {}
 
     def _rank(op, rank: int) -> Generator:
         rank_result = yield from op.participate(rank)
@@ -755,8 +394,7 @@ def _run_static_with_restarts(
             except TransferError:
                 aborted = True
             if not aborted:
-                finish["t"] = max(all_done.value)
-                return
+                return max(all_done.value)
             for proc in rank_procs:
                 if proc.is_alive:
                     proc.interrupt("static collective restart")
@@ -768,11 +406,348 @@ def _run_static_with_restarts(
             # object planes' task resubmission pays.
             yield sim.timeout(cluster.config.failure_detection_delay)
 
-    sim.process(_job(), name="static-job")
+    job = sim.process(_job(), name="static-job")
     sim.run()
-    if "t" not in finish:
+    if not job.ok:
         raise RuntimeError("static collective did not complete (unrecovered failure?)")
-    return finish["t"]
+    return job.value
+
+
+# Object-plane bodies: ``body(cluster, plane, nbytes, arrivals, failures)``
+# allocates the ObjectIDs and returns the scenario generator, whose return
+# value is the latency.  ``arrivals(count)`` resolves ``count`` arrival
+# delays; ``failures`` is true when a failure schedule is installed, and the
+# bodies that take one then add framework reconstruction.
+
+
+def _broadcast_body(cluster: Cluster, plane: CommPlane, nbytes: int, arrivals, failures):
+    sim = cluster.sim
+    object_id = ObjectID.unique("bcast")
+    delays = arrivals(len(cluster.nodes) - 1)
+
+    def _receiver(node_id: int, epoch: float) -> Generator:
+        if delays[node_id - 1] > 0:
+            yield sim.timeout(delays[node_id - 1])
+        yield from plane.get(cluster.node(node_id), object_id)
+        return sim.now - epoch
+
+    def _scenario() -> Generator:
+        # The sender's Put completes before the measurement window opens.
+        yield from plane.put(cluster.node(0), object_id, ObjectValue.of_size(nbytes))
+        epoch = sim.now
+        receivers = [
+            sim.process(_receiver(node_id, epoch), name=f"bcast-recv-{node_id}")
+            for node_id in range(1, len(cluster.nodes))
+        ]
+        finish_times = yield sim.all_of(receivers)
+        return max(finish_times)
+
+    return _scenario()
+
+
+def _gather_body(cluster: Cluster, plane: CommPlane, nbytes: int, arrivals, failures):
+    sim = cluster.sim
+    object_ids = [ObjectID.unique(f"gather-{i}") for i in range(1, len(cluster.nodes))]
+
+    def _scenario() -> Generator:
+        yield sim.all_of(
+            [
+                sim.process(
+                    plane.put(cluster.node(node_id), object_id, ObjectValue.of_size(nbytes)),
+                    name=f"gather-put-{node_id}",
+                )
+                for node_id, object_id in enumerate(object_ids, start=1)
+            ]
+        )
+        epoch = sim.now
+        yield sim.all_of(
+            [
+                sim.process(plane.get(cluster.node(0), oid), name=f"gather-get-{oid}")
+                for oid in object_ids
+            ]
+        )
+        return sim.now - epoch
+
+    return _scenario()
+
+
+def _reduce_body(
+    collective: str, cluster: Cluster, plane: CommPlane, nbytes: int, arrivals, failures
+):
+    """Reduce into node 0; the caller fetches (reduce) or everyone does (allreduce).
+
+    In the synchronized case (no staggering) every ``Put`` completes before
+    the ``Reduce`` is issued (Figure 7); with staggered arrivals the
+    ``Reduce`` is issued immediately and objects trickle in (Figure 8).
+    """
+    sim = cluster.sim
+    num_nodes = len(cluster.nodes)
+    delays = arrivals(num_nodes)
+    source_ids = [ObjectID.unique(f"{collective}-src-{i}") for i in range(num_nodes)]
+    target_id = ObjectID.unique(f"{collective}-target")
+
+    def _producer(node_id: int) -> Generator:
+        if delays[node_id] > 0:
+            yield sim.timeout(delays[node_id])
+        value = ObjectValue.of_size(nbytes)
+        yield from plane.put(cluster.node(node_id), source_ids[node_id], value)
+
+    def _scenario() -> Generator:
+        producers = [
+            sim.process(_producer(node_id), name=f"{collective}-put-{node_id}")
+            for node_id in range(num_nodes)
+        ]
+        if max(delays) <= 0.0:
+            yield sim.all_of(producers)
+        epoch = sim.now
+        reduce_proc = sim.process(
+            plane.reduce(cluster.node(0), target_id, source_ids, ReduceOp.SUM),
+            name=f"{collective}-call",
+        )
+        if collective == "allreduce":
+            fetchers = [
+                sim.process(
+                    plane.get(cluster.node(node_id), target_id), name=f"allreduce-get-{node_id}"
+                )
+                for node_id in range(num_nodes)
+            ]
+            yield sim.all_of(fetchers)
+        else:
+            yield from plane.get(cluster.node(0), target_id)
+        yield reduce_proc
+        return sim.now - epoch
+
+    return _scenario()
+
+
+def _allgather_body(cluster: Cluster, plane: CommPlane, nbytes: int, arrivals, failures):
+    sim = cluster.sim
+    num_nodes = len(cluster.nodes)
+    source_ids = [ObjectID.unique(f"allgather-{i}") for i in range(num_nodes)]
+    values = [ObjectValue.of_size(nbytes) for _ in range(num_nodes)]
+
+    def _put(node_id: int) -> Generator:
+        return plane.put(cluster.node(node_id), source_ids[node_id], values[node_id])
+
+    def _gatherer(node_id: int, epoch: float) -> Generator:
+        yield from retry_across_failures(
+            cluster, node_id, lambda: plane.allgather(cluster.node(node_id), source_ids)
+        )
+        return sim.now - epoch
+
+    def _scenario() -> Generator:
+        # Reconstructors go in before any Put so a producer that fails right
+        # after its own Put (while others are still putting) is still re-Put.
+        if failures:
+            for node_id in range(num_nodes):
+                sim.process(
+                    reconstruct_on_recovery(
+                        cluster, plane, node_id, [(source_ids[node_id], values[node_id])]
+                    ),
+                    name=f"allgather-reconstruct-{node_id}",
+                )
+        producers = [
+            sim.process(
+                retry_across_failures(cluster, node_id, partial(_put, node_id)),
+                name=f"allgather-put-{node_id}",
+            )
+            for node_id in range(num_nodes)
+        ]
+        yield sim.all_of(producers)
+        epoch = sim.now
+        gatherers = [
+            sim.process(_gatherer(node_id, epoch), name=f"allgather-node-{node_id}")
+            for node_id in range(num_nodes)
+        ]
+        finish_times = yield sim.all_of(gatherers)
+        return max(finish_times)
+
+    return _scenario()
+
+
+def _alltoall_body(cluster: Cluster, plane: CommPlane, nbytes: int, arrivals, failures):
+    sim = cluster.sim
+    nodes = range(len(cluster.nodes))
+    pair_ids = {
+        (src, dst): ObjectID.unique(f"alltoall-{src}-{dst}")
+        for src in nodes
+        for dst in nodes
+        if src != dst
+    }
+
+    def _sends(node_id: int) -> list[tuple[ObjectID, ObjectValue]]:
+        return [
+            (pair_ids[(node_id, dst)], ObjectValue.of_size(nbytes))
+            for dst in nodes
+            if dst != node_id
+        ]
+
+    def _participant(node_id: int, epoch: float) -> Generator:
+        recv_ids = [pair_ids[(src, node_id)] for src in nodes if src != node_id]
+        yield from retry_across_failures(
+            cluster,
+            node_id,
+            lambda: plane.alltoall(cluster.node(node_id), _sends(node_id), recv_ids),
+        )
+        return sim.now - epoch
+
+    def _scenario() -> Generator:
+        if failures:
+            for node_id in nodes:
+                sim.process(
+                    reconstruct_on_recovery(cluster, plane, node_id, _sends(node_id)),
+                    name=f"alltoall-reconstruct-{node_id}",
+                )
+        epoch = sim.now
+        participants = [
+            sim.process(_participant(node_id, epoch), name=f"alltoall-node-{node_id}")
+            for node_id in nodes
+        ]
+        finish_times = yield sim.all_of(participants)
+        return max(finish_times)
+
+    return _scenario()
+
+
+_PLANE_BODIES = {
+    "broadcast": _broadcast_body,
+    "gather": _gather_body,
+    "reduce": partial(_reduce_body, "reduce"),
+    "allreduce": partial(_reduce_body, "allreduce"),
+    "allgather": _allgather_body,
+    "alltoall": _alltoall_body,
+}
+
+
+def _measure(
+    collective: str,
+    system: str,
+    num_nodes: int,
+    nbytes: int,
+    arrival_interval: float = 0.0,
+    arrival_delays: Optional[Sequence[float]] = None,
+    network: Optional[NetworkConfig] = None,
+    options: Optional[HopliteOptions] = None,
+    failures: Optional[Sequence[FailureEvent]] = None,
+    flow_stats: Optional[dict] = None,
+) -> float:
+    """Run one collective under one system on a fresh cluster; return its latency.
+
+    The six public drivers forward their own arguments (``**locals()``), so
+    every parameter here is named as in theirs.
+    """
+    _check_system(system)
+    network = network or NetworkConfig()
+    if system == "optimal":
+        return OPTIMAL[collective](num_nodes, nbytes, network.bandwidth)
+    if num_nodes < 2:
+        raise ValueError(f"{collective} needs at least two nodes")
+    make_op = STATIC_OPERATIONS.get((system, collective))
+    if make_op is None and system in STATIC_SYSTEMS:
+        raise UnsupportedScenarioError(f"{system!r} does not implement {collective}")
+
+    def arrivals(count: int) -> list[float]:
+        return _resolve_delays(count, arrival_interval, arrival_delays)
+
+    cluster = make_cluster(num_nodes, network)
+    if failures:
+        schedule(cluster, failures)
+    if make_op is None:
+        plane = make_plane(system, cluster, options)
+        body = _PLANE_BODIES[collective](cluster, plane, nbytes, arrivals, bool(failures))
+        scenario = cluster.sim.process(body, name=f"{collective}-scenario")
+        cluster.sim.run()
+        if not scenario.ok:
+            raise RuntimeError(f"{collective} did not complete (unrecovered failure?)")
+        latency = scenario.value
+    elif collective in _RESTARTED_STATIC:
+        latency = _run_static_with_restarts(cluster, lambda: make_op(cluster, nbytes), num_nodes)
+    else:
+        finishes = _run_static_ranks(cluster, make_op(cluster, nbytes), arrivals(num_nodes))
+        # A reduce is timed at its root; the others at the slowest rank.
+        latency = finishes[0] if collective == "reduce" else max(finishes)
+    if flow_stats is not None:
+        flow_stats.update(collect_flow_usage(cluster))
+    return latency
+
+
+# ---------------------------------------------------------------------------
+# Public collective drivers (Figures 7, 8, 14, 15; allgather/alltoall for
+# the MoE and batch-norm shapes)
+# ---------------------------------------------------------------------------
+
+
+def measure_broadcast(
+    system: str,
+    num_nodes: int,
+    nbytes: int,
+    arrival_interval: float = 0.0,
+    arrival_delays: Optional[Sequence[float]] = None,
+    network: Optional[NetworkConfig] = None,
+    options: Optional[HopliteOptions] = None,
+    flow_stats: Optional[dict] = None,
+) -> float:
+    """Latency of broadcasting one object from node 0 to all other nodes.
+
+    For the static systems the per-rank ``arrival_delays`` (or the uniform
+    ``arrival_interval``) cover all ``num_nodes`` ranks including the root;
+    for the object-plane systems they cover the ``num_nodes - 1`` receivers.
+    If ``flow_stats`` is given (a dict), it is filled with the run's per-flow
+    link utilization report (see :func:`collect_flow_usage`).
+    """
+    return _measure("broadcast", **locals())
+
+
+def measure_gather(
+    system: str,
+    num_nodes: int,
+    nbytes: int,
+    network: Optional[NetworkConfig] = None,
+    options: Optional[HopliteOptions] = None,
+    flow_stats: Optional[dict] = None,
+) -> float:
+    """Latency for node 0 to gather one object from every other node."""
+    return _measure("gather", **locals())
+
+
+def measure_reduce(
+    system: str,
+    num_nodes: int,
+    nbytes: int,
+    arrival_interval: float = 0.0,
+    arrival_delays: Optional[Sequence[float]] = None,
+    network: Optional[NetworkConfig] = None,
+    options: Optional[HopliteOptions] = None,
+    flow_stats: Optional[dict] = None,
+) -> float:
+    """Latency of reducing one object per node into a single result at the caller.
+
+    In the synchronized case (no staggering) every ``Put`` completes before
+    the ``Reduce`` is issued, matching Figure 7.  With staggered arrivals the
+    ``Reduce`` is issued immediately and objects trickle in, matching
+    Figure 8b.  The caller's ``Get`` runs concurrently with the Reduce so the
+    result streams to the caller as it is produced (Section 3.3).
+    """
+    return _measure("reduce", **locals())
+
+
+def measure_allreduce(
+    system: str,
+    num_nodes: int,
+    nbytes: int,
+    arrival_interval: float = 0.0,
+    arrival_delays: Optional[Sequence[float]] = None,
+    network: Optional[NetworkConfig] = None,
+    options: Optional[HopliteOptions] = None,
+    flow_stats: Optional[dict] = None,
+) -> float:
+    """Latency for every node to hold the reduction of one object per node.
+
+    Hoplite composes allreduce as reduce followed by broadcast; every
+    participant issues its ``Get`` on the reduce target immediately, so the
+    result streams out while it is still being produced (Section 3.4.3).
+    """
+    return _measure("allreduce", **locals())
 
 
 def measure_allgather(
@@ -796,83 +771,84 @@ def measure_allgather(
     If ``flow_stats`` is given (a dict), it is filled with the run's per-flow
     link utilization report (see :func:`collect_flow_usage`).
     """
-    _check_system(system)
-    network = network or NetworkConfig()
-    if system == "optimal":
-        return (num_nodes - 1) * nbytes / network.bandwidth
-    if num_nodes < 2:
-        raise ValueError("allgather needs at least two nodes")
+    return _measure("allgather", **locals())
 
-    cluster = _make_cluster(num_nodes, network)
-    sim = cluster.sim
-    if failures:
-        _install_failures(cluster, failures)
 
-    if system in STATIC_SYSTEMS:
-        if system == "openmpi":
-            make_op = lambda: MPICollectives(cluster).allgather(nbytes)  # noqa: E731
-        elif system == "gloo":
-            make_op = lambda: GlooCollectives(cluster).allgather(nbytes)  # noqa: E731
-        else:
-            raise UnsupportedScenarioError(f"{system!r} does not implement allgather")
-        latency = _run_static_with_restarts(cluster, make_op, num_nodes)
-        if flow_stats is not None:
-            flow_stats.update(collect_flow_usage(cluster))
-        return latency
+def measure_alltoall(
+    system: str,
+    num_nodes: int,
+    nbytes: int,
+    network: Optional[NetworkConfig] = None,
+    options: Optional[HopliteOptions] = None,
+    failures: Optional[Sequence[FailureEvent]] = None,
+    flow_stats: Optional[dict] = None,
+) -> float:
+    """Latency of a personalized all-to-all exchange (``nbytes`` per pair).
 
-    plane = _make_plane(system, cluster, options)
-    source_ids = [ObjectID.unique(f"allgather-{i}") for i in range(num_nodes)]
-    values = [ObjectValue.of_size(nbytes) for _ in range(num_nodes)]
-    finish_times: list[float] = []
+    Every node contributes one object per peer; the measurement covers the
+    whole exchange (sends included, matching ``MPI_Alltoall`` semantics) and
+    ends when the slowest participant holds its ``n - 1`` incoming blocks.
 
-    def _producer(node_id: int) -> Generator:
-        yield from retry_across_failures(
-            cluster,
-            node_id,
-            lambda: plane.put(cluster.node(node_id), source_ids[node_id], values[node_id]),
+    If ``flow_stats`` is given (a dict), it is filled with the run's per-flow
+    link utilization report (see :func:`collect_flow_usage`).
+    """
+    return _measure("alltoall", **locals())
+
+
+#: collective name -> its public driver.
+MEASURES = {
+    "broadcast": measure_broadcast,
+    "gather": measure_gather,
+    "reduce": measure_reduce,
+    "allreduce": measure_allreduce,
+    "allgather": measure_allgather,
+    "alltoall": measure_alltoall,
+}
+
+
+# ---------------------------------------------------------------------------
+# Driver and control-plane failures (orchestrated collectives)
+# ---------------------------------------------------------------------------
+
+
+def _calibrate(
+    fail_at: Optional[float],
+    fail_fraction: Optional[float],
+    run_baseline: Callable[[], float],
+) -> tuple[Optional[float], Optional[float]]:
+    """Resolve ``fail_fraction`` into ``(fail_at, baseline)``.
+
+    The failure-free baseline run is exact (the simulation is
+    deterministic), so the failure lands at that fraction of the run.
+    """
+    if fail_fraction is None:
+        return fail_at, None
+    if fail_at is not None:
+        raise ValueError("pass either fail_at or fail_fraction, not both")
+    if not 0.0 < fail_fraction < 1.0:
+        raise ValueError("fail_fraction must be in (0, 1)")
+    baseline = run_baseline()
+    return fail_fraction * baseline, baseline
+
+
+def _invoke(
+    cluster: Cluster, orchestrator: CollectiveOrchestrator, spec, budget: float
+) -> float:
+    """Run one orchestrated collective; return its completion time."""
+
+    def _driver() -> Generator:
+        outcome = yield from orchestrator.invoke(spec)
+        return outcome.completion_time
+
+    driver = cluster.sim.process(_driver(), name=f"{spec.spec_id}-driver")
+    # Bounded: a wedged collective keeps scheduling retry timeouts, so an
+    # unbounded run would spin forever instead of reaching the error below.
+    cluster.sim.run(until=budget)
+    if not driver.ok:
+        raise RuntimeError(
+            f"collective did not complete within {budget} simulated seconds"
         )
-
-    def _gatherer(node_id: int, epoch: float) -> Generator:
-        yield from retry_across_failures(
-            cluster,
-            node_id,
-            lambda: plane.allgather(cluster.node(node_id), source_ids),
-        )
-        finish_times.append(sim.now - epoch)
-
-    def _scenario() -> Generator:
-        # Reconstructors go in before any Put so a producer that fails right
-        # after its own Put (while others are still putting) is still re-Put.
-        if failures:
-            for node_id in range(num_nodes):
-                sim.process(
-                    reconstruct_on_recovery(
-                        cluster,
-                        plane,
-                        node_id,
-                        [(source_ids[node_id], values[node_id])],
-                    ),
-                    name=f"allgather-reconstruct-{node_id}",
-                )
-        producers = [
-            sim.process(_producer(node_id), name=f"allgather-put-{node_id}")
-            for node_id in range(num_nodes)
-        ]
-        yield sim.all_of(producers)
-        epoch = sim.now
-        gatherers = [
-            sim.process(_gatherer(node_id, epoch), name=f"allgather-node-{node_id}")
-            for node_id in range(num_nodes)
-        ]
-        yield sim.all_of(gatherers)
-
-    sim.process(_scenario(), name="allgather-scenario")
-    sim.run()
-    if len(finish_times) != num_nodes:
-        raise RuntimeError("allgather did not complete (unrecovered failure?)")
-    if flow_stats is not None:
-        flow_stats.update(collect_flow_usage(cluster))
-    return max(finish_times)
+    return driver.value
 
 
 def _driver_failure_spec(
@@ -885,22 +861,15 @@ def _driver_failure_spec(
         return CollectiveSpec.broadcast(
             tag, 0, participants, ObjectID.unique(f"{tag}-obj"), value()
         )
-    if collective in ("reduce", "allreduce"):
+    if collective in ("reduce", "allreduce", "allgather"):
         sources = {i: ObjectID.unique(f"{tag}-src{i}") for i in participants}
+        values = {sources[i]: value() for i in participants}
+        if collective == "allgather":
+            return CollectiveSpec.allgather(tag, participants, sources, values)
+        target = ObjectID.unique(f"{tag}-target")
         return CollectiveSpec.reduce(
-            tag,
-            0,
-            participants,
-            sources,
-            ObjectID.unique(f"{tag}-target"),
-            {sources[i]: value() for i in participants},
-            ReduceOp.SUM,
+            tag, 0, participants, sources, target, values, ReduceOp.SUM,
             allreduce=collective == "allreduce",
-        )
-    if collective == "allgather":
-        sources = {i: ObjectID.unique(f"{tag}-src{i}") for i in participants}
-        return CollectiveSpec.allgather(
-            tag, participants, sources, {sources[i]: value() for i in participants}
         )
     if collective == "reduce_scatter":
         matrix = {
@@ -909,13 +878,8 @@ def _driver_failure_spec(
             for j in participants
         }
         targets = {j: ObjectID.unique(f"{tag}-shard{j}") for j in participants}
-        return CollectiveSpec.reduce_scatter(
-            tag,
-            participants,
-            matrix,
-            targets,
-            {object_id: value() for object_id in matrix.values()},
-        )
+        values = {object_id: value() for object_id in matrix.values()}
+        return CollectiveSpec.reduce_scatter(tag, participants, matrix, targets, values)
     if collective == "alltoall":
         matrix = {
             (src, dst): ObjectID.unique(f"{tag}-{src}-{dst}")
@@ -923,9 +887,8 @@ def _driver_failure_spec(
             for dst in participants
             if src != dst
         }
-        return CollectiveSpec.alltoall(
-            tag, participants, matrix, {object_id: value() for object_id in matrix.values()}
-        )
+        values = {object_id: value() for object_id in matrix.values()}
+        return CollectiveSpec.alltoall(tag, participants, matrix, values)
     raise UnsupportedScenarioError(f"unknown collective {collective!r}")
 
 
@@ -967,70 +930,28 @@ def measure_driver_failure(
         raise UnsupportedScenarioError("driver failure has no analytic optimum")
     if num_nodes < 2:
         raise ValueError("driver-failure scenarios need at least two nodes")
-    if fail_fraction is not None:
-        if fail_at is not None:
-            raise ValueError("pass either fail_at or fail_fraction, not both")
-        if not 0.0 < fail_fraction < 1.0:
-            raise ValueError("fail_fraction must be in (0, 1)")
-        baseline = measure_driver_failure(
-            system,
-            num_nodes,
-            nbytes,
-            collective=collective,
-            network=network,
-            options=options,
-        )
-        fail_at = fail_fraction * baseline
+    fail_at, _ = _calibrate(
+        fail_at,
+        fail_fraction,
+        lambda: measure_driver_failure(
+            system, num_nodes, nbytes, collective=collective, network=network, options=options
+        ),
+    )
 
-    cluster = _make_cluster(num_nodes, network)
-    sim = cluster.sim
+    cluster = make_cluster(num_nodes, network)
     if fail_at is not None:
         cluster.schedule_failure(0, at=fail_at, recover_at=fail_at + downtime)
 
     if system in STATIC_SYSTEMS:
-        static_makers = {
-            ("openmpi", "broadcast"): lambda: MPICollectives(cluster).broadcast(
-                nbytes, root=0
-            ),
-            ("openmpi", "reduce"): lambda: MPICollectives(cluster).reduce(nbytes, root=0),
-            ("openmpi", "allreduce"): lambda: MPICollectives(cluster).allreduce(nbytes),
-            ("openmpi", "allgather"): lambda: MPICollectives(cluster).allgather(nbytes),
-            ("openmpi", "alltoall"): lambda: MPICollectives(cluster).alltoall(nbytes),
-            ("gloo", "broadcast"): lambda: GlooCollectives(cluster).broadcast(
-                nbytes, root=0
-            ),
-            ("gloo", "allreduce"): lambda: GlooCollectives(
-                cluster
-            ).allreduce_ring_chunked(nbytes),
-            ("gloo", "allgather"): lambda: GlooCollectives(cluster).allgather(nbytes),
-            ("gloo", "alltoall"): lambda: GlooCollectives(cluster).alltoall(nbytes),
-        }
-        make_op = static_makers.get((system, collective))
+        make_op = STATIC_OPERATIONS.get((system, collective))
         if make_op is None:
-            raise UnsupportedScenarioError(
-                f"{system!r} does not implement {collective!r}"
-            )
-        return _run_static_with_restarts(cluster, make_op, num_nodes)
+            raise UnsupportedScenarioError(f"{system!r} does not implement {collective!r}")
+        return _run_static_with_restarts(cluster, lambda: make_op(cluster, nbytes), num_nodes)
 
-    plane = _make_plane(system, cluster, options)
-    task_system = TaskSystem(cluster, plane)
-    orchestrator = CollectiveOrchestrator(task_system)
+    plane = make_plane(system, cluster, options)
+    orchestrator = CollectiveOrchestrator(TaskSystem(cluster, plane))
     spec = _driver_failure_spec(collective, num_nodes, nbytes, f"drvfail-{system}")
-    finish: dict[str, float] = {}
-
-    def _driver() -> Generator:
-        outcome = yield from orchestrator.invoke(spec)
-        finish["t"] = outcome.completion_time
-
-    sim.process(_driver(), name="driver-failure-scenario")
-    # Bounded: a wedged collective keeps scheduling retry timeouts, so an
-    # unbounded run would spin forever instead of reaching the error below.
-    sim.run(until=budget)
-    if "t" not in finish:
-        raise RuntimeError(
-            f"collective did not complete within {budget} simulated seconds"
-        )
-    return finish["t"]
+    return _invoke(cluster, orchestrator, spec, budget)
 
 
 def measure_control_plane_failure(
@@ -1078,13 +999,10 @@ def measure_control_plane_failure(
         raise ValueError("target must be 'directory', 'lineage', or 'both'")
     if num_nodes < 2:
         raise ValueError("control-plane scenarios need at least two nodes")
-    baseline: Optional[float] = None
-    if fail_fraction is not None:
-        if fail_at is not None:
-            raise ValueError("pass either fail_at or fail_fraction, not both")
-        if not 0.0 < fail_fraction < 1.0:
-            raise ValueError("fail_fraction must be in (0, 1)")
-        baseline = measure_control_plane_failure(
+    fail_at, baseline = _calibrate(
+        fail_at,
+        fail_fraction,
+        lambda: measure_control_plane_failure(
             num_nodes,
             nbytes,
             collective=collective,
@@ -1092,17 +1010,15 @@ def measure_control_plane_failure(
             shard_id=shard_id,
             network=network,
             options=options,
-        )
-        fail_at = fail_fraction * baseline
+        ),
+    )
 
-    cluster = _make_cluster(num_nodes, network)
+    cluster = make_cluster(num_nodes, network)
     sim = cluster.sim
-    plane = _make_plane("hoplite", cluster, options)
+    plane = make_plane("hoplite", cluster, options)
     runtime = plane.runtime
-    task_system = TaskSystem(cluster, plane)
-    orchestrator = CollectiveOrchestrator(task_system)
+    orchestrator = CollectiveOrchestrator(TaskSystem(cluster, plane))
     spec = _driver_failure_spec(collective, num_nodes, nbytes, "ctlfail-hoplite")
-    finish: dict[str, float] = {}
 
     def _killer() -> Generator:
         yield sim.timeout(fail_at)
@@ -1114,16 +1030,7 @@ def measure_control_plane_failure(
     if fail_at is not None:
         sim.process(_killer(), name="control-plane-killer")
 
-    def _driver() -> Generator:
-        outcome = yield from orchestrator.invoke(spec)
-        finish["t"] = outcome.completion_time
-
-    sim.process(_driver(), name="control-plane-failure-scenario")
-    sim.run(until=budget)
-    if "t" not in finish:
-        raise RuntimeError(
-            f"collective did not complete within {budget} simulated seconds"
-        )
+    completion = _invoke(cluster, orchestrator, spec, budget)
     if stats is not None:
         directory = runtime.directory
         stats["fail_at"] = fail_at
@@ -1143,96 +1050,4 @@ def measure_control_plane_failure(
             stats["static_restart"] = (
                 fail_at + cluster.config.failure_detection_delay + baseline
             )
-    return finish["t"]
-
-
-def measure_alltoall(
-    system: str,
-    num_nodes: int,
-    nbytes: int,
-    network: Optional[NetworkConfig] = None,
-    options: Optional[HopliteOptions] = None,
-    failures: Optional[Sequence[FailureEvent]] = None,
-    flow_stats: Optional[dict] = None,
-) -> float:
-    """Latency of a personalized all-to-all exchange (``nbytes`` per pair).
-
-    Every node contributes one object per peer; the measurement covers the
-    whole exchange (sends included, matching ``MPI_Alltoall`` semantics) and
-    ends when the slowest participant holds its ``n - 1`` incoming blocks.
-
-    If ``flow_stats`` is given (a dict), it is filled with the run's per-flow
-    link utilization report (see :func:`collect_flow_usage`).
-    """
-    _check_system(system)
-    network = network or NetworkConfig()
-    if system == "optimal":
-        return (num_nodes - 1) * nbytes / network.bandwidth
-    if num_nodes < 2:
-        raise ValueError("alltoall needs at least two nodes")
-
-    cluster = _make_cluster(num_nodes, network)
-    sim = cluster.sim
-    if failures:
-        _install_failures(cluster, failures)
-
-    if system in STATIC_SYSTEMS:
-        if system == "openmpi":
-            make_op = lambda: MPICollectives(cluster).alltoall(nbytes)  # noqa: E731
-        elif system == "gloo":
-            make_op = lambda: GlooCollectives(cluster).alltoall(nbytes)  # noqa: E731
-        else:
-            raise UnsupportedScenarioError(f"{system!r} does not implement alltoall")
-        latency = _run_static_with_restarts(cluster, make_op, num_nodes)
-        if flow_stats is not None:
-            flow_stats.update(collect_flow_usage(cluster))
-        return latency
-
-    plane = _make_plane(system, cluster, options)
-    pair_ids = {
-        (src, dst): ObjectID.unique(f"alltoall-{src}-{dst}")
-        for src in range(num_nodes)
-        for dst in range(num_nodes)
-        if src != dst
-    }
-    finish_times: list[float] = []
-
-    def _sends(node_id: int) -> list[tuple[ObjectID, ObjectValue]]:
-        return [
-            (pair_ids[(node_id, dst)], ObjectValue.of_size(nbytes))
-            for dst in range(num_nodes)
-            if dst != node_id
-        ]
-
-    def _participant(node_id: int, epoch: float) -> Generator:
-        recv_ids = [
-            pair_ids[(src, node_id)] for src in range(num_nodes) if src != node_id
-        ]
-        yield from retry_across_failures(
-            cluster,
-            node_id,
-            lambda: plane.alltoall(cluster.node(node_id), _sends(node_id), recv_ids),
-        )
-        finish_times.append(sim.now - epoch)
-
-    def _scenario() -> Generator:
-        if failures:
-            for node_id in range(num_nodes):
-                sim.process(
-                    reconstruct_on_recovery(cluster, plane, node_id, _sends(node_id)),
-                    name=f"alltoall-reconstruct-{node_id}",
-                )
-        epoch = sim.now
-        participants = [
-            sim.process(_participant(node_id, epoch), name=f"alltoall-node-{node_id}")
-            for node_id in range(num_nodes)
-        ]
-        yield sim.all_of(participants)
-
-    sim.process(_scenario(), name="alltoall-scenario")
-    sim.run()
-    if len(finish_times) != num_nodes:
-        raise RuntimeError("alltoall did not complete (unrecovered failure?)")
-    if flow_stats is not None:
-        flow_stats.update(collect_flow_usage(cluster))
-    return max(finish_times)
+    return completion

@@ -176,6 +176,7 @@ class CoalescedRun:
         "_synthetic",
         "_listening",
         "preattached",
+        "_seq0",
         "_obs_span",
         "_flight",
         "_flight_key",
@@ -258,6 +259,8 @@ class CoalescedRun:
         #: True when an owning domain attached holds/schedule synchronously
         #: at formation time (so ``run`` must not attach again).
         self.preattached = False
+        #: queue sequence number claimed when block 0 started (see ``run``).
+        self._seq0: Optional[int] = None
 
     # -- virtual-hold protocol (shared by every claimed resource) ----------
     def occupied(self, at: float) -> int:
@@ -342,10 +345,10 @@ class CoalescedRun:
             wake.succeed()
 
     # -- plumbing ----------------------------------------------------------
-    def _sleep(self, target: float) -> Event:
+    def _sleep(self, target: float, seq: Optional[int] = None) -> Event:
         wake = Event(self.sim)
         self._wake = wake
-        trigger = self.sim.wake_at(target)
+        trigger = self.sim.wake_at(target, seq=seq)
         trigger.callbacks = [lambda _ev, wake=wake: self._fire(wake)]
         loc = self.sim.locality
         if loc is not None:
@@ -497,6 +500,12 @@ class CoalescedRun:
         sim = self.sim
         if not self.preattached:
             self._attach()
+            if self.s[0] == sim._now:
+                # The per-block chain would schedule block 0's transmission
+                # end right now.  Claim that queue position, so a re-split
+                # inside block 0 releases the links in the same tie order
+                # against other transfers ending at the same instant.
+                self._seq0 = sim.reserve_sequence()
         try:
             end = self.arr[-1]
             while self.state == _VIRTUAL and sim._now < end:
@@ -520,8 +529,13 @@ class CoalescedRun:
                 self._deliver(0)
                 return 0
             if self.in_tx:
+                # Block 0 releases at the queue position claimed at its
+                # start; later blocks' grants never happened as events, so
+                # their boundary wakes queue at the re-split instant.
+                seq = self._seq0 if i == 0 else None
                 while sim._now < self.e[i]:
-                    yield self._sleep(self.e[i])
+                    yield self._sleep(self.e[i], seq)
+                    seq = None
                     self._wake = None
                 self._account_full(i + 1)
                 self._release_synthetic()

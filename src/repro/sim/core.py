@@ -421,7 +421,20 @@ class Simulator:
         self._sequence = seq + 1
         heapq.heappush(self._queue, (self._now + delay, priority, seq, event))
 
-    def schedule_at(self, event: Event, at: float, priority: int = NORMAL) -> None:
+    def reserve_sequence(self) -> int:
+        """Claim one queue sequence number now, for an event pushed later.
+
+        An event scheduled later with the claimed number (``schedule_at(...,
+        seq=)``) breaks same-instant ties as if it had been scheduled at the
+        moment of the claim.  Claiming schedules nothing.
+        """
+        seq = self._sequence
+        self._sequence = seq + 1
+        return seq
+
+    def schedule_at(
+        self, event: Event, at: float, priority: int = NORMAL, seq: Optional[int] = None
+    ) -> None:
         """Place ``event`` in the queue at the *absolute* time ``at``.
 
         Used by fast paths that must land a wake-up on exactly the float
@@ -431,11 +444,12 @@ class Simulator:
         """
         if at < self._now:
             raise SimulationError(f"schedule_at({at}) is in the past (now={self._now})")
-        seq = self._sequence
-        self._sequence = seq + 1
+        if seq is None:
+            seq = self._sequence
+            self._sequence = seq + 1
         heapq.heappush(self._queue, (at, priority, seq, event))
 
-    def wake_at(self, at: float, value: Any = None) -> Event:
+    def wake_at(self, at: float, value: Any = None, seq: Optional[int] = None) -> Event:
         """An already-succeeded event that pops at the absolute time ``at``.
 
         Behaves like a :class:`Timeout` aimed at an exact timestamp: yield
@@ -445,7 +459,7 @@ class Simulator:
         event = Event(self)
         event._ok = True
         event._value = value
-        self.schedule_at(event, at)
+        self.schedule_at(event, at, seq=seq)
         return event
 
     def peek(self) -> float:

@@ -4,12 +4,12 @@ import pytest
 
 from repro.apps import (
     AppResult,
-    FailureSchedule,
     run_async_sgd,
     run_model_serving,
     run_rl_training,
     run_sync_training,
 )
+from repro.net.failure import FailureEvent
 from repro.workloads import MODEL_CATALOG, SERVING_ENSEMBLE, model_profile
 
 
@@ -23,9 +23,9 @@ def test_model_catalog_contents():
 
 def test_failure_schedule_validation():
     with pytest.raises(ValueError):
-        FailureSchedule(node_id=0, fail_at=-1)
+        FailureEvent(node_id=0, fail_at=-1)
     with pytest.raises(ValueError):
-        FailureSchedule(node_id=0, fail_at=5, recover_at=1)
+        FailureEvent(node_id=0, fail_at=5, recover_at=1)
 
 
 def test_async_sgd_hoplite_beats_ray():
@@ -51,7 +51,7 @@ def test_async_sgd_survives_worker_failure():
         "resnet50",
         "hoplite",
         num_iterations=8,
-        failure=FailureSchedule(node_id=2, fail_at=1.0, recover_at=2.0),
+        failure=FailureEvent(node_id=2, fail_at=1.0, recover_at=2.0),
     )
     assert len(result.iteration_latencies) == 8
     assert all(latency > 0 for latency in result.iteration_latencies)
@@ -84,7 +84,7 @@ def test_model_serving_with_failure_keeps_serving():
         8,
         "hoplite",
         num_queries=12,
-        failure=FailureSchedule(node_id=5, fail_at=0.4, recover_at=0.9),
+        failure=FailureEvent(node_id=5, fail_at=0.4, recover_at=0.9),
     )
     assert len(result.iteration_latencies) == 12
     # The failure must not stall the query loop for long.

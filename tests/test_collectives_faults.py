@@ -27,11 +27,12 @@ Assertions per cell:
 import numpy as np
 import pytest
 
-from repro.apps.common import reconstruct_on_recovery, retry_across_failures
-from repro.collectives.naive import RAY_PROFILE, TaskSystemPlane
-from repro.collectives.plane import HoplitePlane
-from repro.core.runtime import HopliteRuntime
-from repro.net.cluster import Cluster
+from repro.apps.common import (
+    make_cluster,
+    make_plane,
+    reconstruct_on_recovery,
+    retry_across_failures,
+)
 from repro.net.config import NetworkConfig
 from repro.net.failure import FailureEvent, poisson_failures, schedule
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
@@ -46,7 +47,9 @@ NUM_NODES = 8
 NBYTES = 16 * MB
 SIM_BUDGET = 240.0
 
-SYSTEMS = ("hoplite", "naive")
+#: test id -> plane system; the naive plane is the Ray-style task system.
+PLANE_OF = {"hoplite": "hoplite", "naive": "ray"}
+SYSTEMS = tuple(PLANE_OF)
 PRIMITIVES = (
     "broadcast",
     "reduce",
@@ -62,12 +65,6 @@ SEEDS = (0, 1)
 #: landed but well before the collective can finish.
 ROOT_FAIL_AT = 0.15
 ROOT_DOWNTIME = 0.25
-
-
-def _make_plane(system, cluster):
-    if system == "hoplite":
-        return HoplitePlane(HopliteRuntime(cluster))
-    return TaskSystemPlane(cluster, RAY_PROFILE)
 
 
 def _failure_schedule(seed, failure_class):
@@ -101,11 +98,8 @@ def _retrying(cluster, node_id, attempt, on_done):
 
 
 def _build(system, seed, failure_class="peer", topology=None):
-    cluster = Cluster(
-        num_nodes=NUM_NODES,
-        network=NetworkConfig(**TEST_NETWORK, topology=topology),
-    )
-    plane = _make_plane(system, cluster)
+    cluster = make_cluster(NUM_NODES, NetworkConfig(**TEST_NETWORK, topology=topology))
+    plane = make_plane(PLANE_OF[system], cluster)
     schedule(cluster, _failure_schedule(seed, failure_class))
     return cluster, plane
 

@@ -13,7 +13,8 @@ from repro.bench import (
     measure_reduce,
 )
 from repro.bench.reporting import format_value
-from repro.bench.scenarios import UnsupportedScenarioError
+from repro.bench.scenarios import MEASURES, UnsupportedScenarioError
+from repro.collectives import STATIC_OPERATIONS
 from repro.net import NetworkConfig
 
 MB = 1024 * 1024
@@ -81,6 +82,33 @@ def test_reduce_measure_sync_and_async():
 def test_allreduce_measure_all_variants():
     for system in ("hoplite", "openmpi", "gloo_ring", "gloo_ring_chunked", "gloo_halving_doubling", "ray"):
         assert measure_allreduce(system, 4, 4 * MB) > 0
+
+
+STATIC_BASELINES = ("openmpi", "gloo", "gloo_ring", "gloo_ring_chunked", "gloo_halving_doubling")
+
+
+def test_static_operations_cover_exactly_the_baselines_collectives():
+    """OpenMPI runs all six; Gloo four; its allreduce variants only allreduce."""
+    expected = {("openmpi", collective) for collective in MEASURES}
+    expected |= {
+        ("gloo", collective) for collective in ("broadcast", "allreduce", "allgather", "alltoall")
+    }
+    expected |= {
+        (system, "allreduce")
+        for system in ("gloo_ring", "gloo_ring_chunked", "gloo_halving_doubling")
+    }
+    assert set(STATIC_OPERATIONS) == expected
+
+
+@pytest.mark.parametrize("collective", sorted(MEASURES))
+@pytest.mark.parametrize("system", STATIC_BASELINES)
+def test_static_support_matrix(system, collective):
+    measure = MEASURES[collective]
+    if (system, collective) in STATIC_OPERATIONS:
+        assert measure(system, 4, MB) > 0
+    else:
+        with pytest.raises(UnsupportedScenarioError):
+            measure(system, 4, MB)
 
 
 def test_hoplite_broadcast_beats_ray_at_scale():

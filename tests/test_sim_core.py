@@ -279,6 +279,18 @@ def test_events_at_same_time_fire_in_fifo_order():
     assert order == ["a", "b", "c"]
 
 
+def test_reserved_sequence_breaks_ties_as_of_the_claim():
+    """A wake pushed later with a claimed number pops in the claim's order."""
+    sim = Simulator()
+    order = []
+    claimed = sim.reserve_sequence()
+    sim.wake_at(1.0).callbacks = [lambda _ev: order.append("scheduled after the claim")]
+    late = sim.wake_at(1.0, seq=claimed)
+    late.callbacks = [lambda _ev: order.append("claimed first")]
+    sim.run()
+    assert order == ["claimed first", "scheduled after the claim"]
+
+
 def test_step_on_empty_queue_raises():
     sim = Simulator()
     with pytest.raises(SimulationError):
