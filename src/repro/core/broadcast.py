@@ -214,7 +214,7 @@ def _pull_blocks(
     register_stream(links, handle)
     try:
         if not runtime.options.enable_pipelining:
-            yield _race_failure(runtime, source_entry.wait_sealed(), source_node)
+            yield source_node.race_failure(source_entry.wait_sealed())
             _ensure_alive(source_node)
 
         while entry.blocks_ready < entry.num_blocks:
@@ -275,7 +275,7 @@ def _pull_blocks(
             gate = source_entry.wait_for_blocks(block_index + 1)
             handle.phase = convoy.GATE
             handle.gate_event = gate
-            yield _race_failure(runtime, gate, source_node)
+            yield source_node.race_failure(gate)
             handle.gate_event = None
             if handle.poked:
                 handle.poked = False
@@ -299,11 +299,6 @@ def _pull_blocks(
     # Touch the sim clock so zero-block objects still take a well-defined path.
     if entry.num_blocks == 0:  # pragma: no cover - num_blocks is always >= 1
         yield sim.timeout(0)
-
-
-def _race_failure(runtime: "HopliteRuntime", event, peer: Node):
-    """Wait for ``event`` but wake up early if ``peer`` fails."""
-    return runtime.sim.any_of([event, peer.failure_event()])
 
 
 def _ensure_alive(peer: Node) -> None:

@@ -718,8 +718,8 @@ class ReduceExecution:
                                 # Parking outside a ComputeRun: per-block
                                 # mark ordering required (see _pull_blocks).
                                 entry.decoalesce()
-                            yield self._race_own_failure(
-                                entry.wait_for_blocks(block_index + 1), node
+                            yield node.race_failure(
+                                entry.wait_for_blocks(block_index + 1)
                             )
                             if not node.alive:
                                 return
@@ -931,7 +931,7 @@ class ReduceExecution:
                     gate = child_entry.wait_for_blocks(block_index + 1)
                     handle.phase = convoy.GATE
                     handle.gate_event = gate
-                    yield self._race_peer_failure(gate, child_node, parent_node)
+                    yield child_node.race_failure(gate, parent_node)
                     handle.gate_event = None
                     if handle.poked:
                         handle.poked = False
@@ -956,9 +956,7 @@ class ReduceExecution:
                 # Parked on the seal from here on: a completed, passive
                 # stream as far as any later convoy formation is concerned.
                 handle.phase = convoy.TOP
-                yield self._race_peer_failure(
-                    child_entry.wait_sealed(), child_node, parent_node
-                )
+                yield child_node.race_failure(child_entry.wait_sealed(), parent_node)
                 if child_entry.sealed:
                     staging.seal(child_entry.payload)
             finally:
@@ -972,12 +970,6 @@ class ReduceExecution:
         except TransferError:
             return
 
-    def _race_own_failure(self, event: Event, node: Node) -> Event:
-        return self.sim.any_of([event, node.failure_event()])
-
-    def _race_peer_failure(self, event: Event, peer: Node, own: Node) -> Event:
-        return self.sim.any_of([event, peer.failure_event(), own.failure_event()])
-
     # -- failure repair -------------------------------------------------------------
     def _hook_failures(self) -> None:
         if self._failure_hooked:
@@ -985,6 +977,13 @@ class ReduceExecution:
         self._failure_hooked = True
         for node in self.runtime.cluster.nodes:
             node.on_failure(self._on_node_failure)
+        # Once finished the hook is a no-op; withdraw it so finished
+        # executions do not pile up on every node's listener list.
+        self._finished.add_callback(self._unhook_failures)
+
+    def _unhook_failures(self, _event: Event) -> None:
+        for node in self.runtime.cluster.nodes:
+            node.remove_failure_listener(self._on_node_failure)
 
     def _on_node_failure(self, node: Node) -> None:
         if self._finished.triggered:

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.net.config import NetworkConfig
 from repro.net.errors import TransferError, _check_alive
-from repro.sim import Event, MultiRequest, Resource, Simulator
+from repro.sim import MultiRequest, Resource, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.net.node import Node
@@ -329,22 +329,8 @@ class FlowTransport:
             handle.reservation = reservation
         try:
             if not reservation.event.triggered:
-                # Race the queued admission against either peer dying.  The
-                # listeners are removed as soon as the race resolves — they
-                # must not accumulate one pair per transferred block.
-                peer_failed = Event(sim)
-
-                def _notify(node: "Node") -> None:
-                    if not peer_failed.triggered:
-                        peer_failed.succeed(node)
-
-                src.on_failure(_notify)
-                dst.on_failure(_notify)
-                try:
-                    yield sim.any_of([reservation.event, peer_failed])
-                finally:
-                    src.remove_failure_listener(_notify)
-                    dst.remove_failure_listener(_notify)
+                # Race the queued admission against either peer dying.
+                yield src.race_failure(reservation.event, dst)
                 if handle is not None and handle.poked:
                     handle.poked = False
                     return ADOPTED

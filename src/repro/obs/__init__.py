@@ -195,10 +195,7 @@ class Observability:
             link.sched._obs_control = None
         for node in cluster.nodes:
             node.remove_failure_listener(self._on_node_down)
-            try:
-                node.recovery_listeners.remove(self._on_node_up)
-            except ValueError:
-                pass
+            node.remove_recovery_listener(self._on_node_up)
         cluster.obs = None
 
     # -- hook bodies (called from the instrumented subsystems) -------------

@@ -30,7 +30,23 @@ Performance notes (the kernel is the hot loop of every benchmark):
 * :meth:`Simulator.schedule_at` places an event at an *absolute* timestamp,
   which the coalesced-transfer fast path uses to land wake-ups on exactly
   the accumulated float boundary a per-block chain of timeouts would have
-  produced (``now + (t - now)`` does not round-trip in floating point).
+  produced (``now + (t - now)`` does not round-trip in floating point);
+* no kernel object may outlive its event in a reference cycle.  A pipelined
+  stream makes a race, a request and often a process per block; left in
+  cycles, they pile up for the cyclic garbage collector, whose full passes
+  rescan the whole live heap.  Reference counting frees them at once if
+  each class breaks its cycles as soon as its work is done:
+
+  - an event's ``callbacks`` becomes ``_PROCESSED`` when it pops, which
+    drops the waiter references;
+  - a :class:`_Condition` empties ``events`` once it triggers, so the
+    components that never fire no longer form a cycle with it;
+  - a :class:`Process` drops ``_resume_bound`` (a bound method of itself)
+    when its generator ends;
+  - a resource request, granted with itself as its value, drops that value
+    on release (:mod:`repro.sim.resources`);
+  - a node's failure listener for a wait is withdrawn once the wait
+    resolves (``Node.race_failure``).
 """
 
 from __future__ import annotations
@@ -203,7 +219,13 @@ class Timeout(Event):
 
 
 class _Condition(Event):
-    """Base class for AllOf / AnyOf composition events."""
+    """Base class for AllOf / AnyOf composition events.
+
+    ``events`` lists the components until the condition triggers; it is then
+    emptied, because every component that has not fired yet still holds this
+    condition in its callbacks, and the list pointing back would make each
+    such pair a reference cycle (see the module's performance notes).
+    """
 
     __slots__ = ("events", "_matched")
 
@@ -223,17 +245,20 @@ class _Condition(Event):
         raise NotImplementedError
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._ok is not None:
             if not event.ok:
                 event.defused = True
             return
         if not event.ok:
             event.defused = True
+            self.events = self._matched = []
             self.fail(event._exception)  # type: ignore[arg-type]
             return
         self._matched.append(event)
         if self._satisfied():
-            self.succeed([e.value for e in self._matched])
+            values = [e.value for e in self._matched]
+            self.events = self._matched = []
+            self.succeed(values)
 
 
 class AllOf(_Condition):
@@ -318,9 +343,11 @@ class Process(Event):
                 event.defused = True
                 next_event = self.generator.throw(event._exception)
         except StopIteration as stop:
+            self._resume_bound = None
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate to waiters
+            self._resume_bound = None
             self.fail(exc)
             return
         if not isinstance(next_event, Event):
@@ -330,8 +357,10 @@ class Process(Event):
             try:
                 self.generator.throw(error)
             except StopIteration as stop:
+                self._resume_bound = None
                 self.succeed(stop.value)
             except BaseException as exc:  # noqa: BLE001
+                self._resume_bound = None
                 self.fail(exc)
             return
         self._target = next_event

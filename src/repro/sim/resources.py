@@ -56,9 +56,13 @@ def _queue_key(request: "Event") -> tuple[int, int]:
 
 
 class _Request(Event):
-    """A pending claim on a resource; usable as a context manager."""
+    """A pending claim on a resource; usable as a context manager.
 
-    __slots__ = ("resource", "amount", "priority", "sort_key")
+    A grant succeeds the request with itself as the value; the release drops
+    that self-reference so a finished request is freed by reference counting.
+    """
+
+    __slots__ = ("resource", "amount", "priority", "sort_key", "granted")
 
     is_multi = False
 
@@ -68,6 +72,8 @@ class _Request(Event):
         self.amount = amount
         self.priority = priority
         self.sort_key = (priority, next(_arrival_stamp))
+        #: True from the grant until the release.
+        self.granted = False
 
     def __enter__(self) -> "_Request":
         return self
@@ -91,7 +97,8 @@ class MultiRequest(Event):
     the claimed capacity idle.
 
     Usable as a context manager like a single request; ``release`` frees a
-    granted claim or withdraws a pending one.
+    granted claim (dropping its self-valued grant, as a single request's
+    release does) or withdraws a pending one.
     """
 
     __slots__ = (
@@ -178,7 +185,6 @@ class MultiRequest(Event):
         self._blocked_on = None
         for resource, amount in self.claims:
             resource._in_use += amount
-            resource._granted.add(id(self))
             resource._cancel(self)
         self.granted_at = self.sim.now
         if initial:
@@ -197,8 +203,8 @@ class MultiRequest(Event):
             return
         self._released = True
         if self.granted:
+            self._value = None
             for resource, amount in self.claims:
-                resource._granted.discard(id(self))
                 resource._in_use -= amount
             for resource, _amount in self.claims:
                 resource._grant()
@@ -226,7 +232,6 @@ class Resource:
         "capacity",
         "_in_use",
         "_waiting",
-        "_granted",
         "_virtual",
         "_streams",
         "_handles",
@@ -241,7 +246,6 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiting: list[Event] = []
-        self._granted: set[int] = set()
         #: active virtual holds (coalesced transfers); ``None`` when unused.
         self._virtual: Optional[list] = None
         #: multi-block transfer streams currently using this resource.  A
@@ -340,8 +344,10 @@ class Resource:
         return req
 
     def release(self, request: _Request) -> None:
-        if id(request) in self._granted:
-            self._granted.discard(id(request))
+        """Free a granted request, or withdraw a pending one; idempotent."""
+        if request.granted:
+            request.granted = False
+            request._value = None
             self._in_use -= request.amount
             self._grant()
         else:
@@ -391,7 +397,7 @@ class Resource:
                 break
             del waiting[index]
             self._in_use += req.amount
-            self._granted.add(id(req))
+            req.granted = True
             req.succeed(req)
 
 

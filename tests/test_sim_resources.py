@@ -86,6 +86,33 @@ def test_resource_release_of_ungranted_request_cancels_it():
     assert resource.available == 1
 
 
+def test_resource_release_of_pending_request_leaves_in_use_unchanged():
+    sim = Simulator()
+    resource = Resource(sim, capacity=1)
+    granted = resource.request()
+    del granted  # dropped unreleased; its address may be reused below
+    pending = resource.request()
+    assert not pending.granted
+    resource.release(pending)
+    assert resource.in_use == 1 and resource.queue_length == 0
+
+
+def test_resource_double_release_is_a_no_op():
+    sim = Simulator()
+    resource = Resource(sim, capacity=2)
+    first, second = resource.request(), resource.request()
+    assert first.granted and second.granted
+    resource.release(first)
+    resource.release(first)
+    assert resource.in_use == 1 and not first.granted
+    # The release drops the grant's self-reference (value is the request).
+    assert first._value is None
+    joint = MultiRequest(sim, [(resource, 1)])
+    joint.release()
+    joint.release()
+    assert resource.in_use == 1 and joint._value is None
+
+
 def test_priority_resource_orders_waiters():
     sim = Simulator()
     resource = PriorityResource(sim, capacity=1)
