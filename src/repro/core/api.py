@@ -26,7 +26,13 @@ from repro.core.gather import (
 )
 from repro.core.reduce import ReduceResult, adopt_or_create_reduction
 from repro.net import convoy
-from repro.net.coalesce import register_stream, unregister_stream
+from repro.net.coalesce import (
+    CoalescedRun,
+    coalesce_eligible,
+    register_stream,
+    run_blocks,
+    unregister_stream,
+)
 from repro.net.convoy import StreamHandle
 from repro.net.flowsched import ADOPTED, Flow
 from repro.net.node import Node
@@ -81,16 +87,16 @@ class HopliteClient:
             yield from directory.publish_partial(
                 self.node, object_id, value.size, upstream=None
             )
-            # On an exclusive memcpy channel the copy-in stays per-block: a
-            # pipelined Put is published before it starts, so in synchronized
-            # scenarios many puts mark their first blocks in the same
-            # timestep and dozens of remote fetches key their admission order
-            # off those marks; an *exclusive* coalesced run would shift that
-            # intra-timestep order while saving only ~2 events per memcpy
-            # block.  When several Puts saturate one channel, though, the
-            # queue discipline is deterministic and the convoy fast path
-            # (net/convoy) advances the whole lockstep group arithmetically,
-            # re-splitting to per-block on any disturbance.
+            # Block 0 is copied per-block; from block 1 on, a copy-in alone on
+            # an idle memcpy channel runs as one coalesced run (O(1) events,
+            # with an arithmetic schedule on the entry for readers).  Block 0
+            # stays per-block because the parties that disturb a copy-in
+            # usually arrive during it: a consumer that needs per-block marks
+            # (``decoalesce``) or a second Put on this node.  A run started
+            # at block 0 would re-split at once, and the re-split costs more
+            # events than the per-block chain it was meant to save.  When
+            # several Puts share the channel, the convoy fast path
+            # (net/convoy) advances the lockstep group arithmetically instead.
             config = self.config
             links = [(self.node.memcpy_channel, None)]
             handle = StreamHandle(
@@ -109,6 +115,35 @@ class HopliteClient:
                         yield from run.run()
                         continue
                     block_index = entry.blocks_ready
+                    if (
+                        block_index >= 1
+                        and entry.num_blocks - block_index >= 2
+                        and not entry._no_coalesce
+                        and entry._inflight is None
+                        and coalesce_eligible(links, self.node, self.node)
+                    ):
+                        sizes, tx = run_blocks(
+                            config,
+                            value.size,
+                            block_index,
+                            entry.num_blocks,
+                            config.memcpy_time,
+                        )
+                        run = CoalescedRun(
+                            self.sim,
+                            self.node,
+                            self.node,
+                            None,
+                            sizes,
+                            tx,
+                            0.0,
+                            links,
+                            entry=entry,
+                            base=block_index,
+                        )
+                        handle.phase = convoy.RUN
+                        yield from run.run()
+                        continue
                     run = convoy.maybe_form(handle, block_index)
                     if run is not None:
                         handle.phase = convoy.RUN

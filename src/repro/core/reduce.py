@@ -33,8 +33,9 @@ from repro.net.coalesce import (
     coalesce_eligible,
     input_coverage,
     nic_path_links,
-    ready_time_of,
+    ready_times_of,
     register_stream,
+    run_blocks,
     unregister_stream,
 )
 from repro.net import convoy
@@ -682,19 +683,23 @@ class ReduceExecution:
                         for entry in inputs:
                             horizon = input_coverage(entry, horizon)
                         if horizon - block_index >= 2:
-                            compute_times = []
-                            ready_times = []
-                            for k in range(block_index, horizon):
-                                nbytes = config.block_bytes(output.size, k)
-                                compute_times.append(
-                                    config.reduce_compute_time(nbytes) * weight
+                            _sizes, compute_times = run_blocks(
+                                config,
+                                output.size,
+                                block_index,
+                                horizon,
+                                lambda nb: config.reduce_compute_time(nb) * weight,
+                            )
+                            # Each block starts once its latest input is present.
+                            ready_times = [
+                                max(whens)
+                                for whens in zip(
+                                    *(
+                                        ready_times_of(entry, block_index, horizon)
+                                        for entry in inputs
+                                    )
                                 )
-                                ready = 0.0
-                                for entry in inputs:
-                                    when = ready_time_of(entry, k)
-                                    if when > ready:
-                                        ready = when
-                                ready_times.append(ready)
+                            ]
                             run = ComputeRun(
                                 self.sim,
                                 node,

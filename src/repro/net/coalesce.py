@@ -31,16 +31,32 @@ Exactness is the design constraint; three mechanisms preserve it:
   run are answered from the boundary arrays — the same values, at the same
   times, a per-block mark sequence would have produced.
 
+Runs move blocks over a NIC path (pulls, reduce partial streams,
+whole-object sends) or over a node's memcpy channel (``src is dst``, zero
+latency: local copies, same-node partial streams, and the pipelined Put
+copy-in).  The copy-in's destination entry carries an
+:class:`InflightSchedule`, so receivers streaming from the partial Put
+cascade off it.  The copy-in starts at block 1: block 0 goes per-block,
+because a second Put or a consumer needing per-block marks usually arrives
+during it and would re-split a run at once.
+
 Eligibility (:func:`coalesce_eligible`) is deliberately conservative: every
 claimed link must be idle with an empty queue and no other virtual hold,
 both endpoints alive, and at least two blocks available to move.  Anything
 else falls back to the per-block path, whose behaviour is the definition of
 correct.
+
+Bookkeeping a run retrofits costs one call per run, not per block: link
+accounting (:meth:`~repro.net.flowsched.LinkScheduler.account_blocks`),
+store byte accounting, and destination marks
+(:meth:`~repro.store.object_store.StoredObject.mark_blocks_ready`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
+from operator import sub
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
 from repro.net.errors import NodeFailedError
@@ -220,20 +236,30 @@ class CoalescedRun:
             # grant/end/arrival instants of every block.
             s, e, arr = boundaries
             s, e, arr = list(s), list(e), list(arr)
-        else:
+        elif ready_times is None:
             # Boundary arrays built with the exact float recurrence of the
-            # per-block chain: s_{j+1} = max((s_j + tx_j) + L, source arrival),
-            # left-associated.  ``ready_times`` (absolute) gate blocks the
-            # source has not produced yet — the relay cascade.
+            # per-block chain, s_{j+1} = (s_j + tx_j) + L, left-associated:
+            # one running sum over tx_0, L, tx_1, L, ... performs the same
+            # additions in the same order.
+            n = len(self.tx)
+            steps = [latency] * (2 * n)
+            steps[0::2] = self.tx
+            acc = list(accumulate(steps, initial=sim._now))
+            s = acc[0 : 2 * n : 2]
+            e = acc[1::2]
+            arr = acc[2::2]
+        else:
+            # As above, with s_{j+1} = max(arr_j, source arrival): absolute
+            # ``ready_times`` gate blocks the source has not produced yet —
+            # the relay cascade.
             s = []
             e = []
             arr = []
             t = sim._now
             for j, tx_j in enumerate(self.tx):
-                if ready_times is not None:
-                    ready = ready_times[j]
-                    if ready > t:
-                        t = ready
+                ready = ready_times[j]
+                if ready > t:
+                    t = ready
                 s.append(t)
                 t = t + tx_j
                 e.append(t)
@@ -432,24 +458,31 @@ class CoalescedRun:
 
     def _account_full(self, count: int) -> None:
         """Link-account blocks ``[_accounted, count)`` at their full hold."""
-        flow = self.flow
+        lo = self._accounted
+        if count <= lo:
+            return
+        scheds = [sched for _resource, sched in self.links if sched is not None]
+        if scheds:
+            # A per-block reservation holds its links from grant to release,
+            # so its accounted hold is ``e_j - s_j`` (not always ``tx_j``
+            # once rounded).
+            sizes = self.sizes[lo:count]
+            holds = list(map(sub, self.e[lo:count], self.s[lo:count]))
+            for sched in scheds:
+                sched.account_blocks(self.flow, sizes, holds)
         flight = self._flight
-        for j in range(self._accounted, count):
-            nbytes, hold = self.sizes[j], self.tx[j]
-            for _resource, sched in self.links:
-                if sched is not None:
-                    sched.account(flow, nbytes, hold)
-            if flight is not None:
-                detail = f"{self._flight_flow}/{nbytes}"
+        if flight is not None:
+            for j in range(lo, count):
+                detail = f"{self._flight_flow}/{self.sizes[j]}"
                 flight.record(self.s[j], "grant", self._flight_key, detail)
                 flight.record(self.e[j], "release", self._flight_key, detail)
-        self._accounted = max(self._accounted, count)
+        self._accounted = count
 
     def _account_partial(self, j: int, hold: float) -> None:
         """One block released mid-transmission (interrupt semantics)."""
         for _resource, sched in self.links:
             if sched is not None:
-                sched.account(self.flow, self.sizes[j], hold)
+                sched.account_blocks(self.flow, self.sizes[j : j + 1], [hold])
         flight = self._flight
         if flight is not None:
             detail = f"{self._flight_flow}/{self.sizes[j]}"
@@ -469,23 +502,26 @@ class CoalescedRun:
         if self.schedule is not None:
             self.schedule.close()
             self.schedule = None
-        account_out, account_in = self.account_out, self.account_in
-        entry, base = self.entry, self.base
+        if count <= 0:
+            return
+        # Byte counts are integers: one call with the total credits exactly
+        # what ``count`` per-block calls would.
+        if self.account_out is not None or self.account_in is not None:
+            nbytes = sum(self.sizes[:count])
+            if self.account_out is not None:
+                self.account_out(nbytes)
+            if self.account_in is not None:
+                self.account_in(nbytes)
+        if self.entry is not None:
+            self.entry.mark_blocks_ready(self.base, self.base + count)
         flight = self._flight
-        for j in range(count):
-            nbytes = self.sizes[j]
-            if account_out is not None:
-                account_out(nbytes)
-            if account_in is not None:
-                account_in(nbytes)
-            if entry is not None:
-                entry.mark_block_ready(base + j)
-            if flight is not None:
+        if flight is not None:
+            for j in range(count):
                 flight.record(
                     self.arr[j],
                     "arrive",
                     self._flight_key,
-                    f"{self._flight_flow}/{nbytes}",
+                    f"{self._flight_flow}/{self.sizes[j]}",
                 )
 
     # -- the driver --------------------------------------------------------
@@ -605,8 +641,9 @@ def register_stream(
     """Announce a multi-block transfer stream on its claim set.
 
     Every multi-block loop (pulls, whole-object sends, reduce partial
-    streams, segmented static chains, local copies) brackets itself with
-    ``register_stream`` / ``unregister_stream``.  Two purposes:
+    streams, segmented static chains, local copies, pipelined Put copy-ins)
+    brackets itself with ``register_stream`` / ``unregister_stream``.  Two
+    purposes:
 
     * a coalesced run starts only on links it has to itself
       (:func:`coalesce_eligible` checks ``_streams == 1``) — per-block
@@ -614,7 +651,8 @@ def register_stream(
       event-queue history, which a coalesced schedule cannot reproduce;
     * a *new* stream materializes any standing coalesced run on its links
       before taking its first action, so the run re-splits to per-block
-      granularity before the interleaving begins.
+      granularity before the interleaving begins (e.g. a second Put on a
+      node re-splits the first Put's copy-in run on the memcpy channel).
 
     A *convoy-capable* stream (see :mod:`repro.net.convoy`) passes its
     :class:`~repro.net.convoy.StreamHandle`, which lets convoy formation
@@ -813,10 +851,8 @@ class ComputeRun:
                 self.schedule.truncate(count)
             self.schedule.close()
             self.schedule = None
-        entry, base = self.entry, self.base
-        if entry is not None:
-            for k in range(count):
-                entry.mark_block_ready(base + k)
+        if self.entry is not None:
+            self.entry.mark_blocks_ready(self.base, self.base + count)
 
     def run(self) -> Generator:
         sim = self.sim
@@ -884,6 +920,38 @@ def ready_time_of(entry: "StoredObject", block: int) -> float:
     return inflight.arrivals[block - inflight.base]
 
 
+def ready_times_of(entry: "StoredObject", lo: int, hi: int) -> list[float]:
+    """``[ready_time_of(entry, j) for j in range(lo, hi)]``, as list slices.
+
+    Present blocks read 0.0; the rest are a slice of the in-flight
+    schedule's arrivals.
+    """
+    ready = entry.blocks_ready
+    if ready >= hi:
+        return [0.0] * (hi - lo)
+    start = ready if ready > lo else lo
+    inflight = entry._inflight
+    base = inflight.base
+    return [0.0] * (start - lo) + inflight.arrivals[start - base : hi - base]
+
+
+def run_blocks(
+    config, nbytes: int, lo: int, hi: int, time_of: Callable[[int], float]
+) -> tuple[list[int], list[float]]:
+    """Sizes and per-block times of blocks ``[lo, hi)`` of an ``nbytes`` object.
+
+    Every block but the object's last has the same size, so ``time_of`` is
+    called once per distinct size — at most twice — instead of per block.
+    """
+    sizes = config.block_sizes(nbytes, lo, hi)
+    if not sizes:
+        return sizes, []
+    times = [time_of(sizes[0])] * len(sizes)
+    if sizes[-1] != sizes[0]:
+        times[-1] = time_of(sizes[-1])
+    return sizes, times
+
+
 def coalesce_eligible(
     links: Sequence[tuple["Resource", object]], src: "Node", dst: "Node"
 ) -> bool:
@@ -928,22 +996,22 @@ def build_pull_run(
     """
     from repro.net.flowsched import path_latency, path_transmission_time
 
-    avail = min(source_entry.blocks_ready, horizon)
-    src_schedule = source_entry._inflight if horizon > avail else None
+    src_schedule = None
     ready_times = None
-    if src_schedule is not None:
-        arrivals = src_schedule.arrivals
-        src_base = src_schedule.base
-        ready_times = [
-            0.0 if idx < avail else arrivals[idx - src_base]
-            for idx in range(block_index, horizon)
-        ]
-    sizes = [config.block_bytes(entry.size, j) for j in range(block_index, horizon)]
+    if horizon > source_entry.blocks_ready:
+        src_schedule = source_entry._inflight
+        ready_times = ready_times_of(source_entry, block_index, horizon)
     if local_copy:
-        tx = [config.memcpy_time(nb) for nb in sizes]
+        sizes, tx = run_blocks(config, entry.size, block_index, horizon, config.memcpy_time)
         latency = 0.0
     else:
-        tx = [path_transmission_time(config, src, dst, nb) for nb in sizes]
+        sizes, tx = run_blocks(
+            config,
+            entry.size,
+            block_index,
+            horizon,
+            lambda nb: path_transmission_time(config, src, dst, nb),
+        )
         latency = path_latency(config, src, dst)
     run = CoalescedRun(
         dst.sim,

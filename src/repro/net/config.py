@@ -106,6 +106,24 @@ class NetworkConfig:
         remainder = nbytes - self.block_size * (total - 1)
         return remainder if remainder > 0 else min(nbytes, self.block_size)
 
+    def block_sizes(self, nbytes: int, lo: int, hi: int) -> list[int]:
+        """Sizes of blocks ``[lo, hi)``: ``[block_bytes(nbytes, i) for i in range(lo, hi)]``.
+
+        Every block but the object's last is ``block_size``, so a run of
+        blocks costs one list allocation instead of one call per block.
+        """
+        if lo >= hi:
+            return []
+        total = self.num_blocks(nbytes)
+        if lo < 0 or hi > total:
+            raise IndexError(
+                f"blocks [{lo}, {hi}) out of range for {nbytes}-byte object"
+            )
+        sizes = [self.block_size] * (hi - lo)
+        if hi == total:
+            sizes[-1] = self.block_bytes(nbytes, total - 1)
+        return sizes
+
 
 @dataclass
 class ClusterSpec:

@@ -164,6 +164,27 @@ class LinkScheduler:
         if self._obs_bytes is not None:
             self._obs_bytes[flow.flow_class].inc(nbytes)
 
+    def account_blocks(self, flow: Flow, sizes: list[int], holds: list[float]) -> None:
+        """:meth:`account` for a run of blocks, in one call.
+
+        ``sizes[j]`` and ``holds[j]`` describe the run's ``j``-th block.
+        Bytes are integers and summed once; ``busy_time`` still adds one
+        hold at a time, in block order, so the float total is bit-identical
+        to sequential :meth:`account` calls.
+        """
+        if not sizes:
+            return
+        nbytes = sum(sizes)
+        self.bytes_by_flow[flow.flow_id] = self.bytes_by_flow.get(flow.flow_id, 0) + nbytes
+        self.bytes_by_class[flow.flow_class] += nbytes
+        busy = self.busy_time
+        for hold in holds:
+            busy += hold
+        self.busy_time = busy
+        self.reservations_granted += len(sizes)
+        if self._obs_bytes is not None:
+            self._obs_bytes[flow.flow_class].inc(nbytes)
+
     def record_control(self) -> None:
         """Count one control-plane message leaving through this direction."""
         self.control_messages += 1

@@ -55,6 +55,7 @@ from repro.net.coalesce import (
     coalesce_eligible,
     nic_path_links,
     register_stream,
+    run_blocks,
     unregister_stream,
 )
 from repro.net.config import NetworkConfig
@@ -191,16 +192,20 @@ def transfer_bytes(
             # re-splits back to per-block.
             if config.flow_scheduling and total_blocks - index >= 2:
                 if coalesce_eligible(links, src, dst):
-                    sizes = [
-                        config.block_bytes(nbytes, i) for i in range(index, total_blocks)
-                    ]
+                    sizes, tx = run_blocks(
+                        config,
+                        nbytes,
+                        index,
+                        total_blocks,
+                        lambda nb: path_transmission_time(config, src, dst, nb),
+                    )
                     run = CoalescedRun(
                         sim,
                         src,
                         dst,
                         flow or DEFAULT_FLOW,
                         sizes,
-                        [path_transmission_time(config, src, dst, nb) for nb in sizes],
+                        tx,
                         path_latency(config, src, dst),
                         links,
                     )
@@ -271,19 +276,10 @@ def local_copy(config: NetworkConfig, node: Node, nbytes: int) -> Generator:
         index = 0
         while index < total_blocks:
             if total_blocks - index >= 2 and coalesce_eligible(links, node, node):
-                sizes = [
-                    config.block_bytes(nbytes, i) for i in range(index, total_blocks)
-                ]
-                run = CoalescedRun(
-                    sim,
-                    node,
-                    node,
-                    None,
-                    sizes,
-                    [config.memcpy_time(nb) for nb in sizes],
-                    0.0,
-                    links,
+                sizes, tx = run_blocks(
+                    config, nbytes, index, total_blocks, config.memcpy_time
                 )
+                run = CoalescedRun(sim, node, node, None, sizes, tx, 0.0, links)
                 index += yield from run.run()
                 continue
             yield from local_copy_block(config, node, config.block_bytes(nbytes, index))

@@ -117,6 +117,52 @@ class StoredObject:
             self._blocks_ready = block_index + 1
         self._notify_progress()
 
+    def mark_blocks_ready(self, lo: int, hi: int) -> None:
+        """``mark_block_ready(i)`` for ``i`` in ``range(lo, hi)``, in one call.
+
+        Waiters fire in exactly the order, and with exactly the values, the
+        sequence of single marks would give them: by the mark that first
+        satisfies each threshold, then by list order.
+        """
+        if hi <= lo:
+            return
+        if hi > self.num_blocks:
+            raise IndexError(
+                f"block {hi - 1} out of range for {self.num_blocks}-block object"
+            )
+        if self._inflight is not None:
+            # Readers see the schedule, not the counter: keep the single-mark
+            # semantics whole.
+            for block_index in range(lo, hi):
+                self.mark_block_ready(block_index)
+            return
+        before = self._blocks_ready
+        if hi > before:
+            self._blocks_ready = hi
+        waiters = self._progress_waiters
+        if not waiters:
+            return
+        # Mark ``i`` raises the count to ``max(before, i + 1)``; a waiter of
+        # threshold ``t`` fires at the first mark reaching it.
+        firing = []
+        remaining = []
+        for position, (threshold, event) in enumerate(waiters):
+            if event.triggered:
+                continue  # dropped by the first mark's scan
+            step = threshold - 1 if threshold > before else lo
+            if step < lo:
+                step = lo
+            if step < hi:
+                firing.append((step, position, event))
+            else:
+                remaining.append((threshold, event))
+        firing.sort(key=lambda item: (item[0], item[1]))
+        for step, _position, event in firing:
+            if not event.triggered:
+                ready = step + 1
+                event.succeed(ready if ready > before else before)
+        self._progress_waiters = remaining
+
     def reset_progress(self) -> None:
         """Discard partial contents (used when a reduce subtree must restart)."""
         if self.sealed:

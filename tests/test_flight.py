@@ -157,19 +157,24 @@ def test_recording_is_observational_and_timelines_match(seed):
 def test_forced_fastpath_divergence_is_bisected(monkeypatch):
     """An injected coalescing bug is caught and localized.
 
-    Shifts every coalesced run's arrival boundaries by +100ns — the kind of
-    off-by-an-epsilon a refactor of the boundary recurrence could introduce.
-    Only the fast-on run constructs :class:`CoalescedRun`, so the settings
-    genuinely diverge; the digests must mismatch and the bisection must
-    point at the transfer timeline around the perturbed arrivals.
+    Shifts every coalesced network run's arrival boundaries by +100ns — the
+    kind of off-by-an-epsilon a refactor of the boundary recurrence could
+    introduce.  Only the fast-on run constructs :class:`CoalescedRun`, so the
+    settings genuinely diverge; the digests must mismatch and the bisection
+    must point at the transfer timeline around the perturbed arrivals.
+    Local copy-in runs (``src is dst``) are left alone: they record no
+    transfer events, so skewing them would make the first divergence a
+    downstream grant instead of an arrival.
     """
-    spec = generate_spec(6)  # forms coalesced runs under fast-on (7 of them)
+    # Forms coalesced runs under fast-on: 7 network runs plus 1 Put copy-in.
+    spec = generate_spec(6)
 
     orig_init = CoalescedRun.__init__
 
     def skewed_init(self, *args, **kwargs):
         orig_init(self, *args, **kwargs)
-        self.arr = [a + 1e-7 for a in self.arr]
+        if self.src is not self.dst:
+            self.arr = [a + 1e-7 for a in self.arr]
 
     monkeypatch.setattr(CoalescedRun, "__init__", skewed_init)
 

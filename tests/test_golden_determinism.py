@@ -135,3 +135,49 @@ def test_simulated_latency_pins(cell):
     run, pinned = _pinned_cells()[cell]
     reset_id_counter()
     assert round(run(), 9) == pinned
+
+
+def _event_count_cells():
+    from repro.bench import scenarios as s
+
+    MB = 1024 * 1024
+    return {
+        # Synchronized: the Reduce starts after every Put finished, so the
+        # cell's events are dominated by the Puts' copy-in.
+        "reduce_64MB_16n_hoplite": (
+            lambda: s.measure_reduce("hoplite", 16, 64 * MB), 499),
+        "allgather_32MB_16n_hoplite": (
+            lambda: s.measure_allgather("hoplite", 16, 32 * MB), 11978),
+        "broadcast_64MB_8n_hoplite": (
+            lambda: s.measure_broadcast("hoplite", 8, 64 * MB), 80),
+    }
+
+
+@pytest.mark.parametrize("cell", sorted(_event_count_cells()))
+def test_event_count_pins(cell):
+    """Kernel events of fixed scenario cells never exceed their pinned count.
+
+    Event counts are deterministic, so a fast path that silently falls back
+    to the per-block chain (e.g. a Put copy-in no longer coalescing) fails
+    here even though every simulated result stays the same.  Object ids are
+    reset at each cluster's creation, as the benchmark does, so the count
+    does not depend on what ran earlier in the process.
+    """
+    import repro.net.cluster as cluster_mod
+    from repro.store.objects import reset_id_counter
+
+    run, pinned = _event_count_cells()[cell]
+    clusters = []
+
+    def _on_create(cluster):
+        reset_id_counter()
+        clusters.append(cluster)
+
+    previous = cluster_mod.ON_CREATE
+    cluster_mod.ON_CREATE = _on_create
+    try:
+        run()
+    finally:
+        cluster_mod.ON_CREATE = previous
+    events = sum(cluster.sim.events_processed for cluster in clusters)
+    assert events <= pinned, f"{cell}: {events} kernel events, pinned at {pinned}"

@@ -279,3 +279,51 @@ def test_to_value_roundtrip(store):
     value = local.get_entry(object_id).to_value()
     assert value.size == MB
     assert np.allclose(value.as_array(), payload)
+
+
+def _fire_order(marks, before, waiters, *, bulk):
+    """Pop order and values of progress waiters under single or bulk marks."""
+    cluster = Cluster(num_nodes=1, network=NetworkConfig(block_size=MB))
+    local = LocalObjectStore(cluster.node(0), cluster.config)
+    entry = local.create(ObjectID.of("bulk-mark"), 8 * MB)
+    if before:
+        entry.mark_block_ready(before - 1)
+    fired = []
+    for tag, threshold in enumerate(waiters):
+        event = entry.wait_for_blocks(threshold)
+        event.add_callback(lambda ev, tag=tag: fired.append((tag, ev.value)))
+    lo, hi = marks
+    if bulk:
+        entry.mark_blocks_ready(lo, hi)
+    else:
+        for index in range(lo, hi):
+            entry.mark_block_ready(index)
+    cluster.run()
+    pending = [threshold for threshold, _event in entry._progress_waiters]
+    return fired, entry.blocks_ready, pending
+
+
+@pytest.mark.parametrize(
+    "marks, before, waiters",
+    [
+        ((0, 8), 0, [5, 2, 8, 1, 2, 7, 3]),
+        ((2, 6), 1, [6, 1, 4, 2, 7, 5, 4]),
+        ((3, 5), 6, [7, 8, 6, 2]),
+        ((0, 1), 0, [1, 2, 1]),
+    ],
+)
+def test_bulk_mark_fires_waiters_in_per_block_order(marks, before, waiters):
+    """One bulk mark fires interleaved-threshold waiters exactly like the
+    sequence of single marks: same order, same values, same leftovers."""
+    assert _fire_order(marks, before, waiters, bulk=True) == _fire_order(
+        marks, before, waiters, bulk=False
+    )
+
+
+def test_bulk_mark_rejects_out_of_range(store):
+    local, _ = store
+    entry = local.create(ObjectID.of("bulk-range"), 3 * MB)
+    with pytest.raises(IndexError):
+        entry.mark_blocks_ready(1, 4)
+    entry.mark_blocks_ready(2, 2)  # empty range: no-op
+    assert entry.blocks_ready == 0
