@@ -25,18 +25,10 @@ from repro.core.gather import (
     ReduceScatterResult,
 )
 from repro.core.reduce import ReduceResult, adopt_or_create_reduction
-from repro.net import convoy
-from repro.net.coalesce import (
-    CoalescedRun,
-    coalesce_eligible,
-    register_stream,
-    run_blocks,
-    unregister_stream,
-)
-from repro.net.convoy import StreamHandle
-from repro.net.flowsched import ADOPTED, Flow
+from repro.core.stream import stream_blocks
+from repro.net.flowsched import Flow
 from repro.net.node import Node
-from repro.net.transport import NodeFailedError, local_copy, local_copy_block
+from repro.net.transport import NodeFailedError, local_copy
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,86 +79,14 @@ class HopliteClient:
             yield from directory.publish_partial(
                 self.node, object_id, value.size, upstream=None
             )
-            # Block 0 is copied per-block; from block 1 on, a copy-in alone on
-            # an idle memcpy channel runs as one coalesced run (O(1) events,
-            # with an arithmetic schedule on the entry for readers).  Block 0
-            # stays per-block because the parties that disturb a copy-in
-            # usually arrive during it: a consumer that needs per-block marks
-            # (``decoalesce``) or a second Put on this node.  A run started
-            # at block 0 would re-split at once, and the re-split costs more
-            # events than the per-block chain it was meant to save.  When
-            # several Puts share the channel, the convoy fast path
-            # (net/convoy) advances the lockstep group arithmetically instead.
-            config = self.config
-            links = [(self.node.memcpy_channel, None)]
-            handle = StreamHandle(
-                "copy", config, self.node, self.node, None, links, entry
-            )
-            register_stream(links, handle)
-            try:
-                while entry.blocks_ready < entry.num_blocks:
-                    handle.phase = convoy.TOP
-                    run = handle.adopted_run
-                    if run is not None:
-                        # Conscripted by a convoy formed around this channel
-                        # while the Put was queued; drive our planned share.
-                        handle.adopted_run = None
-                        handle.phase = convoy.RUN
-                        yield from run.run()
-                        continue
-                    block_index = entry.blocks_ready
-                    if (
-                        block_index >= 1
-                        and entry.num_blocks - block_index >= 2
-                        and not entry._no_coalesce
-                        and entry._inflight is None
-                        and coalesce_eligible(links, self.node, self.node)
-                    ):
-                        sizes, tx = run_blocks(
-                            config,
-                            value.size,
-                            block_index,
-                            entry.num_blocks,
-                            config.memcpy_time,
-                        )
-                        run = CoalescedRun(
-                            self.sim,
-                            self.node,
-                            self.node,
-                            None,
-                            sizes,
-                            tx,
-                            0.0,
-                            links,
-                            entry=entry,
-                            base=block_index,
-                        )
-                        handle.phase = convoy.RUN
-                        yield from run.run()
-                        continue
-                    run = convoy.maybe_form(handle, block_index)
-                    if run is not None:
-                        handle.phase = convoy.RUN
-                        yield from run.run()
-                        continue
-                    nbytes = config.block_bytes(value.size, block_index)
-                    result = yield from local_copy_block(
-                        config, self.node, nbytes, handle
-                    )
-                    if result is ADOPTED:
-                        continue
-                    entry.mark_block_ready(block_index)
-            finally:
-                if handle.preplaced is not None:
-                    handle.preplaced.cancel()
-                    handle.preplaced = None
-                unregister_stream(links, handle)
-            entry.seal(value.payload)
-            yield from directory.publish_complete(self.node, object_id, value.size)
+            # The copy-in streams into the store block by block; runs of
+            # blocks coalesce, or form a convoy when several Puts share the
+            # memcpy channel (see repro.core.stream).
+            yield from stream_blocks(runtime, self.node, self.node, entry)
         else:
             yield from local_copy(self.config, self.node, value.size)
-            entry.seal(value.payload)
-            yield from directory.publish_complete(self.node, object_id, value.size)
+        entry.seal(value.payload)
+        yield from directory.publish_complete(self.node, object_id, value.size)
         return object_id
 
     # ------------------------------------------------------------------ Get --

@@ -15,21 +15,13 @@ and resumes from the first missing block.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.net import convoy
-from repro.net.coalesce import (
-    build_pull_run,
-    coalesce_eligible,
-    input_coverage,
-    nic_path_links,
-    register_stream,
-    unregister_stream,
-)
-from repro.net.convoy import StreamHandle
-from repro.net.flowsched import ADOPTED, Flow, FlowClass
+from repro.core.stream import stream_blocks
+from repro.net.flowsched import Flow, FlowClass
 from repro.net.node import Node
-from repro.net.transport import TransferError, transfer_block, transfer_bytes
+from repro.net.transport import TransferError, transfer_bytes
 from repro.store.object_store import StoredObject
 from repro.store.objects import ObjectID
 
@@ -98,6 +90,8 @@ def _fetch_dynamic(
 ) -> Generator:
     """The full receiver-driven protocol with partial sources and recovery."""
     directory = runtime.directory
+    # Without pipelining a block is pulled only once the source is complete.
+    pipelined = runtime.options.enable_pipelining
     #: node_id -> incarnation at the time the source failed us.  A node that
     #: recovers (and re-publishes the object) gets a fresh incarnation and
     #: becomes eligible again, so a repaired cluster never wedges on a stale
@@ -106,20 +100,40 @@ def _fetch_dynamic(
     while not entry.sealed:
         source = yield from directory.acquire_transfer_source(node, object_id, excluded)
         source_node = runtime.node(source.node_id)
+        source_entry = runtime.store(source_node).try_get_entry(object_id)
         succeeded = False
-        try:
-            yield from _pull_blocks(runtime, source_node, node, object_id, entry, flow)
-            succeeded = True
-        except TransferError:
-            # The source died (or lost the object).  Keep our partial blocks,
-            # exclude the dead source, and look for another one.
-            excluded[source.node_id] = source_node.incarnation
+        if source_entry is not None:
+            # Reference the serving copy: a capacity-limited source store
+            # must not evict it mid-stream (the receiver would silently lose
+            # the payload).
+            source_entry.ref_count += 1
+            try:
+                yield from stream_blocks(
+                    runtime,
+                    source_node,
+                    node,
+                    entry,
+                    source_entry,
+                    flow,
+                    before=None if pipelined else partial(
+                        _wait_sealed, source_node, source_entry
+                    ),
+                )
+                succeeded = True
+            except TransferError:
+                pass
+            finally:
+                source_entry.ref_count -= 1
         if succeeded:
             source_entry = runtime.store(source_node).try_get_entry(object_id)
             payload = source_entry.payload if source_entry is not None else None
             metadata = dict(source_entry.metadata) if source_entry is not None else {}
             entry.metadata.update(metadata)
             entry.seal(payload)
+        else:
+            # The source died (or lost the object).  Keep our partial blocks,
+            # exclude the dead source, and look for another one.
+            excluded[source.node_id] = source_node.incarnation
         yield from directory.release_transfer_source(node, object_id, source, succeeded)
 
 
@@ -168,139 +182,10 @@ def _fetch_from_origin(
             yield runtime.sim.timeout(config.failure_detection_delay)
 
 
-def _pull_blocks(
-    runtime: "HopliteRuntime",
-    source_node: Node,
-    dest_node: Node,
-    object_id: ObjectID,
-    entry: StoredObject,
-    flow: Flow,
-) -> Generator:
-    """Stream the missing blocks of ``entry`` from ``source_node``.
-
-    With pipelining enabled a block is pulled as soon as the source holds it,
-    even if the source copy is still incomplete.  Without pipelining the
-    source must be complete first.
-    """
-    config = runtime.config
-    sim = runtime.sim
-    source_store = runtime.store(source_node)
-    source_entry = source_store.try_get_entry(object_id)
-    if source_entry is None:
+def _wait_sealed(source_node: Node, source_entry: StoredObject) -> Generator:
+    """Hold a pull until its source copy is complete (pipelining off)."""
+    yield source_node.race_failure(source_entry.wait_sealed())
+    if not source_node.alive:
         raise TransferError(
-            f"source node {source_node.node_id} no longer holds {object_id}",
-            node=source_node,
+            f"node {source_node.node_id} failed during transfer", node=source_node
         )
-
-    # Reference the serving copy: a capacity-limited source store must not
-    # evict it mid-stream (the receiver would silently lose the payload).
-    source_entry.ref_count += 1
-    dest_store = runtime.store(dest_node)
-    links = nic_path_links(source_node, dest_node)
-    account_out = lambda nb: source_store.account_flow_out(flow, nb)  # noqa: E731
-    account_in = lambda nb: dest_store.account_flow_in(flow, nb)  # noqa: E731
-    handle = StreamHandle(
-        "nic",
-        config,
-        source_node,
-        dest_node,
-        flow,
-        links,
-        entry,
-        source_entry=source_entry,
-        account_out=account_out,
-        account_in=account_in,
-    )
-    register_stream(links, handle)
-    try:
-        if not runtime.options.enable_pipelining:
-            yield source_node.race_failure(source_entry.wait_sealed())
-            _ensure_alive(source_node)
-
-        while entry.blocks_ready < entry.num_blocks:
-            handle.phase = convoy.TOP
-            run = handle.adopted_run
-            if run is not None:
-                # A convoy formed around this stream while it was parked;
-                # drive our planned share of it.
-                handle.adopted_run = None
-                handle.phase = convoy.RUN
-                yield from run.run()
-                continue
-            block_index = entry.blocks_ready
-            # Coalesced fast path: every block the source already holds, in
-            # one timeline event — exact per-block semantics guaranteed by
-            # the run's virtual holds and re-splitting (see net/coalesce).
-            if config.flow_scheduling:
-                # Horizon: blocks the source holds now, plus — the relay
-                # cascade — blocks its own coalesced run will deliver at
-                # known instants.
-                horizon = input_coverage(source_entry, entry.num_blocks)
-                if horizon - block_index >= 2 and not entry._no_coalesce:
-                    if coalesce_eligible(links, source_node, dest_node):
-                        run = build_pull_run(
-                            config,
-                            source_node,
-                            dest_node,
-                            flow,
-                            links,
-                            source_entry,
-                            entry,
-                            block_index,
-                            horizon,
-                            account_out=account_out,
-                            account_in=account_in,
-                        )
-                        handle.phase = convoy.RUN
-                        yield from run.run()
-                        continue
-                    # Exclusive coalescing declined (contended link): try the
-                    # convoy fast path over the lockstep group instead.
-                    run = convoy.maybe_form(handle, block_index)
-                    if run is not None:
-                        handle.phase = convoy.RUN
-                        yield from run.run()
-                        continue
-            if (
-                source_entry._inflight is not None
-                and source_entry.blocks_ready <= block_index
-            ):
-                # This pull is about to park on the source's arithmetic
-                # schedule outside a coalesced run of its own (contended
-                # links, or a schedule tail too short to coalesce).  Its
-                # resume order against competing flows matters — and links
-                # can become contended while parked — so the source's marks
-                # must be delivered per-block from here on.
-                source_entry.decoalesce()
-            gate = source_entry.wait_for_blocks(block_index + 1)
-            handle.phase = convoy.GATE
-            handle.gate_event = gate
-            yield source_node.race_failure(gate)
-            handle.gate_event = None
-            if handle.poked:
-                handle.poked = False
-                continue
-            _ensure_alive(source_node)
-            nbytes = config.block_bytes(entry.size, block_index)
-            result = yield from transfer_block(
-                config, source_node, dest_node, nbytes, flow, handle
-            )
-            if result is ADOPTED:
-                continue
-            source_store.account_flow_out(flow, nbytes)
-            dest_store.account_flow_in(flow, nbytes)
-            entry.mark_block_ready(block_index)
-    finally:
-        if handle.preplaced is not None:
-            handle.preplaced.cancel()
-            handle.preplaced = None
-        unregister_stream(links, handle)
-        source_entry.ref_count -= 1
-    # Touch the sim clock so zero-block objects still take a well-defined path.
-    if entry.num_blocks == 0:  # pragma: no cover - num_blocks is always >= 1
-        yield sim.timeout(0)
-
-
-def _ensure_alive(peer: Node) -> None:
-    if not peer.alive:
-        raise TransferError(f"node {peer.node_id} failed during transfer", node=peer)

@@ -27,22 +27,11 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
-from repro.net.coalesce import (
-    ComputeRun,
-    build_pull_run,
-    coalesce_eligible,
-    input_coverage,
-    nic_path_links,
-    ready_times_of,
-    register_stream,
-    run_blocks,
-    unregister_stream,
-)
-from repro.net import convoy
-from repro.net.convoy import StreamHandle
-from repro.net.flowsched import ADOPTED, Flow, FlowClass
+from repro.core.stream import stream_blocks
+from repro.net.coalesce import ComputeRun, input_coverage, ready_times_of, run_blocks
+from repro.net.flowsched import Flow, FlowClass
 from repro.net.node import Node
-from repro.net.transport import TransferError, local_copy_block, transfer_block
+from repro.net.transport import TransferError, transfer_block
 from repro.sim import Event, Interrupt, Process
 from repro.store.object_store import StoredObject
 from repro.store.objects import ObjectID, ReduceOp
@@ -721,7 +710,7 @@ class ReduceExecution:
                         if entry.blocks_ready <= block_index:
                             if entry._inflight is not None:
                                 # Parking outside a ComputeRun: per-block
-                                # mark ordering required (see _pull_blocks).
+                                # mark ordering required (see repro.core.stream).
                                 entry.decoalesce()
                             yield node.race_failure(
                                 entry.wait_for_blocks(block_index + 1)
@@ -831,7 +820,6 @@ class ReduceExecution:
         """Pull the child's (partial) output into the parent's staging entry."""
         try:
             runtime = self.runtime
-            config = self.config
             if not child_state.assigned:
                 yield child_state.assignment_event(self.sim)
             child_node = child_state.host
@@ -847,7 +835,6 @@ class ReduceExecution:
                     node=child_node,
                 )
             parent_node = parent_state.host
-            same_node = child_node.node_id == parent_node.node_id
             # Reduce partials ride the REDUCE_PARTIAL flow class: they cut
             # ahead of bulk broadcast traffic in the link admission queues,
             # since one late partial stalls the whole subtree above it.
@@ -855,120 +842,27 @@ class ReduceExecution:
                 f"reduce:{self.target_id}:n{child_node.node_id}->n{parent_node.node_id}",
                 FlowClass.REDUCE_PARTIAL,
             )
-            # Reference the child's output while streaming from it so a
-            # capacity-limited child store cannot evict it mid-stream.
-            child_entry.ref_count += 1
-            # Announce the stream so a coalesced run sharing one of these
-            # links re-splits before the per-block interleaving starts.
-            if same_node:
-                links = [(parent_node.memcpy_channel, None)]
-                account_out = account_in = None
-            else:
-                links = nic_path_links(child_node, parent_node)
-                parent_store = runtime.store(parent_node)
-                account_out = lambda nb: child_store.account_flow_out(flow, nb)  # noqa: E731
-                account_in = lambda nb: parent_store.account_flow_in(flow, nb)  # noqa: E731
-            handle = StreamHandle(
-                "copy" if same_node else "nic",
-                config,
-                parent_node if same_node else child_node,
-                parent_node,
-                flow,
-                links,
-                staging,
-                source_entry=child_entry,
-                account_out=account_out,
-                account_in=account_in,
-            )
-            register_stream(links, handle)
-            config_ = self.runtime.config
-            try:
-                while staging.blocks_ready < staging.num_blocks:
-                    handle.phase = convoy.TOP
-                    run = handle.adopted_run
-                    if run is not None:
-                        # A convoy (typically the parent's fan-in) formed
-                        # around this stream; drive our planned share of it.
-                        handle.adopted_run = None
-                        handle.phase = convoy.RUN
-                        yield from run.run()
-                        continue
-                    block_index = staging.blocks_ready
-                    # Coalesced fast path (see _pull_blocks): stream every
-                    # block the child holds — or will produce on a known
-                    # schedule (cascade) — as one timeline event.
-                    if config_.flow_scheduling or same_node:
-                        horizon = input_coverage(child_entry, staging.num_blocks)
-                        if horizon - block_index >= 2 and not staging._no_coalesce:
-                            run_src = parent_node if same_node else child_node
-                            if coalesce_eligible(links, run_src, parent_node):
-                                run = build_pull_run(
-                                    config_,
-                                    run_src,
-                                    parent_node,
-                                    flow,
-                                    links,
-                                    child_entry,
-                                    staging,
-                                    block_index,
-                                    horizon,
-                                    local_copy=same_node,
-                                    account_out=account_out,
-                                    account_in=account_in,
-                                )
-                                handle.phase = convoy.RUN
-                                yield from run.run()
-                                continue
-                            # Contended link (e.g. sibling partials on the
-                            # parent downlink): try the convoy fast path.
-                            run = convoy.maybe_form(handle, block_index)
-                            if run is not None:
-                                handle.phase = convoy.RUN
-                                yield from run.run()
-                                continue
-                    if (
-                        child_entry._inflight is not None
-                        and child_entry.blocks_ready <= block_index
-                    ):
-                        # About to park outside a coalesced run: per-block
-                        # mark ordering required (see _pull_blocks).
-                        child_entry.decoalesce()
-                    gate = child_entry.wait_for_blocks(block_index + 1)
-                    handle.phase = convoy.GATE
-                    handle.gate_event = gate
-                    yield child_node.race_failure(gate, parent_node)
-                    handle.gate_event = None
-                    if handle.poked:
-                        handle.poked = False
-                        continue
-                    if not child_node.alive or not parent_node.alive:
-                        raise TransferError("peer failed during reduce stream", node=child_node)
-                    nbytes = config.block_bytes(staging.size, block_index)
-                    if same_node:
-                        result = yield from local_copy_block(
-                            config, parent_node, nbytes, handle
-                        )
-                    else:
-                        result = yield from transfer_block(
-                            config, child_node, parent_node, nbytes, flow, handle
-                        )
-                    if result is ADOPTED:
-                        continue
-                    if not same_node:
-                        child_store.account_flow_out(flow, nbytes)
-                        runtime.store(parent_node).account_flow_in(flow, nbytes)
-                    staging.mark_block_ready(block_index)
-                # Parked on the seal from here on: a completed, passive
-                # stream as far as any later convoy formation is concerned.
-                handle.phase = convoy.TOP
+
+            def seal_staging() -> Generator:
                 yield child_node.race_failure(child_entry.wait_sealed(), parent_node)
                 if child_entry.sealed:
                     staging.seal(child_entry.payload)
+
+            # Reference the child's output while streaming from it so a
+            # capacity-limited child store cannot evict it mid-stream.
+            child_entry.ref_count += 1
+            try:
+                yield from stream_blocks(
+                    runtime,
+                    child_node,
+                    parent_node,
+                    staging,
+                    child_entry,
+                    flow,
+                    watch_dst=True,
+                    after=seal_staging,
+                )
             finally:
-                if handle.preplaced is not None:
-                    handle.preplaced.cancel()
-                    handle.preplaced = None
-                unregister_stream(links, handle)
                 child_entry.ref_count -= 1
         except Interrupt:
             return

@@ -977,7 +977,7 @@ def build_pull_run(
     dst: "Node",
     flow: Optional["Flow"],
     links: Sequence[tuple["Resource", Optional["LinkScheduler"]]],
-    source_entry: "StoredObject",
+    source_entry: Optional["StoredObject"],
     entry: "StoredObject",
     block_index: int,
     horizon: int,
@@ -985,20 +985,21 @@ def build_pull_run(
     account_out: Optional[Callable[[int], None]] = None,
     account_in: Optional[Callable[[int], None]] = None,
 ) -> CoalescedRun:
-    """The coalesced run for blocks ``[block_index, horizon)`` of one pull.
+    """The coalesced run for blocks ``[block_index, horizon)`` of one stream.
 
-    Shared by the broadcast pull loop and the reduce partial stream: derives
-    the relay cascade (``ready_times`` from the source's in-flight schedule
-    for blocks it has not produced yet), the per-block sizes/times (NIC path
-    or local memcpy), and wires the destination entry for arithmetic marks.
-    The caller has already checked :func:`coalesce_eligible`,
-    ``entry._no_coalesce``, and that ``horizon - block_index >= 2``.
+    Built by the block-stream loop (:mod:`repro.core.stream`): derives the
+    relay cascade (``ready_times`` from the source's in-flight schedule for
+    blocks it has not produced yet; a Put copy-in has no ``source_entry``),
+    the per-block sizes/times (NIC path or local memcpy), and wires the
+    destination entry for arithmetic marks.  The caller has already checked
+    :func:`coalesce_eligible`, ``entry._no_coalesce``, and that
+    ``horizon - block_index >= 2``.
     """
     from repro.net.flowsched import path_latency, path_transmission_time
 
     src_schedule = None
     ready_times = None
-    if horizon > source_entry.blocks_ready:
+    if source_entry is not None and horizon > source_entry.blocks_ready:
         src_schedule = source_entry._inflight
         ready_times = ready_times_of(source_entry, block_index, horizon)
     if local_copy:

@@ -33,13 +33,6 @@ class NetworkConfig:
             end of an open connection observing the failure, in seconds.
         num_directory_shards: number of object-directory shards spread over
             the cluster.
-        flow_scheduling: admit each block transfer only when the source
-            uplink slot and destination downlink slot are *simultaneously*
-            free (reservation-based matching, the default).  When off, the
-            transport falls back to sequential acquisition — hold the uplink,
-            then queue on the downlink — which reintroduces head-of-line
-            blocking at busy receivers (kept as an ablation and for the HOL
-            regression test).
         topology: hierarchical fabric shape
             (:class:`~repro.net.topology.Topology`); ``None`` means the flat
             single-rack fabric matching the paper's testbed.  The topology's
@@ -55,7 +48,6 @@ class NetworkConfig:
     reduce_block_compute_bandwidth: float = 2.0e10
     failure_detection_delay: float = 0.1
     num_directory_shards: int = 4
-    flow_scheduling: bool = True
     topology: Optional["Topology"] = None
 
     def __post_init__(self) -> None:

@@ -119,8 +119,9 @@ _MIN_PLANNED = 6
 class StreamHandle:
     """Identity card of one convoy-capable block-transfer stream.
 
-    Created by the multi-block loops (broadcast pulls, reduce partial
-    streams, pipelined Put copy-ins) and passed to
+    Created by the block-stream loop (:func:`repro.core.stream.stream_blocks`,
+    behind broadcast pulls, reduce partial streams and pipelined Put
+    copy-ins) and passed to
     :func:`~repro.net.coalesce.register_stream`, which exposes it on every
     claimed link.  The loop keeps ``phase`` (and the matching timestamps)
     current at every parking point, so convoy formation can read the exact

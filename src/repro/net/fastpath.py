@@ -91,22 +91,10 @@ def stats_for(node: "Node") -> FastpathStats:
 
 def is_enabled() -> bool:
     """True when both fast paths are on (the only supported combinations
-    are both-on and both-off; see :func:`set_enabled`)."""
+    are both-on and both-off; see :func:`fastpath`)."""
     from repro.net import coalesce, convoy  # deferred: they import stats_for
 
     return coalesce.ENABLED and convoy.ENABLED
-
-
-def set_enabled(enabled: bool) -> None:
-    """Set both kill switches at once.
-
-    Prefer the :func:`fastpath` context manager, which restores state; this
-    exists for command-line entry points that toggle for a whole process.
-    """
-    from repro.net import coalesce, convoy  # deferred: they import stats_for
-
-    coalesce.ENABLED = enabled
-    convoy.ENABLED = enabled
 
 
 @contextmanager

@@ -1,13 +1,13 @@
 """Reservation-based flow scheduling for NIC links.
 
 This is the admission layer between the collective protocols and the raw
-uplink/downlink resources.  The sequential-acquisition transport (hold the
-sender's uplink, then queue on the receiver's downlink) parks a sender's NIC
-idle-but-held whenever its receiver is busy — the head-of-line blocking that
-kept Hoplite's alltoall at ~1.5x of the pipelined bound while ring baselines
-reached ~1.0x.  Real transports avoid this with per-flow queueing and
-admission at the bottleneck (flow-queuing AQM, receiver-driven admission);
-this module reproduces that discipline for the simulated NICs:
+uplink/downlink resources.  Acquiring a block's links one after another
+(hold the sender's uplink, then queue on the receiver's downlink) would park
+a sender's NIC idle-but-held whenever its receiver is busy: head-of-line
+blocking, which keeps an alltoall well above its pipelined bound.  Real
+transports avoid this with per-flow queueing and admission at the
+bottleneck (flow-queuing AQM, receiver-driven admission); this module
+reproduces that discipline for the simulated NICs:
 
 * every block transfer is a :class:`Reservation` — a cancellable claim on
   **both** the source uplink slot and the destination downlink slot, granted
@@ -25,17 +25,15 @@ this module reproduces that discipline for the simulated NICs:
   busy time for the utilization reports in :mod:`repro.bench.scenarios`.
 
 :class:`FlowTransport` is the facade: ``transfer_block`` / ``transfer_bytes``
-generators compatible with the legacy :mod:`repro.net.transport` signatures
-(which now delegate here), plus explicit ``reserve`` for protocols that want
-to manage reservation lifetimes themselves.
+generators behind the :mod:`repro.net.transport` functions of the same
+names, plus explicit ``reserve`` for protocols that want to manage
+reservation lifetimes themselves.
 
-Failure semantics match the legacy transport: a dead endpoint raises
+Failures: a dead endpoint raises
 :class:`~repro.net.transport.TransferError`, and a reservation still waiting
 for admission when its peer dies is cancelled (withdrawn from every queue)
 before the error propagates, so no ghost claim survives the failure.  The
-failure-detection delay stays where it always was — in the retry loops of the
-protocols above — and the fault-injection matrix runs unchanged through this
-path.
+failure-detection delay lives in the retry loops of the protocols above.
 """
 
 from __future__ import annotations
@@ -146,7 +144,7 @@ class LinkScheduler:
 
     @property
     def queue_length(self) -> int:
-        """Reservations (and legacy requests) waiting for this link."""
+        """Reservations waiting for this link."""
         return self.link.queue_length
 
     def utilization(self, elapsed: float) -> float:
@@ -303,9 +301,9 @@ class Reservation:
 class FlowTransport:
     """Flow-scheduled block transport over a cluster's NICs.
 
-    Generator methods are signature-compatible with the legacy transport
-    (``transfer_block`` / ``transfer_bytes`` semantics and return values),
-    plus an optional :class:`Flow` for priority and accounting.
+    Generator methods have the :mod:`repro.net.transport` signatures and
+    return values, plus an optional :class:`Flow` for priority and
+    accounting.
     """
 
     def __init__(self, config: NetworkConfig):
@@ -411,10 +409,8 @@ class FlowTransport:
         """Move ``nbytes`` from ``src`` to ``dst`` as a sequence of blocks.
 
         Thin delegate to the canonical :func:`repro.net.transport.transfer_bytes`
-        (one home for the zero-byte and block-splitting contract); with
-        ``config.flow_scheduling`` enabled — the reason to hold a
-        ``FlowTransport`` — every block routes back through
-        :meth:`transfer_block`.
+        (one home for the zero-byte and block-splitting contract); every
+        per-block step routes back through :meth:`transfer_block`.
         """
         from repro.net.transport import transfer_bytes as _transfer_bytes
 

@@ -27,10 +27,6 @@ bottleneck of naive broadcast and the receiver-side bottleneck of flat
 (a flow id for per-flow bandwidth accounting and a priority class ordering
 control > reduce-partial > bulk in the admission queues).
 
-Setting ``NetworkConfig.flow_scheduling = False`` restores the legacy
-sequential acquisition (uplink first, then queue on the downlink while
-holding it) as an ablation.
-
 Zero-byte moves — remote or local — complete immediately at the current
 simulated time: no link slot, no serialization, no propagation latency, the
 same contract for :func:`transfer_bytes` and :func:`local_copy`.
@@ -101,65 +97,13 @@ def transfer_block(
 
     Returns (via StopIteration) the simulated time at which the block is
     fully available at the destination — or :data:`~repro.net.flowsched.ADOPTED`
-    when ``handle`` (a convoy stream handle, flow-scheduling only) was
-    conscripted by a convoy formation while the block waited for admission.
+    when ``handle`` (a convoy stream handle) was conscripted by a convoy
+    formation while the block waited for admission.
     """
-    if config.flow_scheduling:
-        result = yield from _flow_transport(config).transfer_block(
-            src, dst, nbytes, flow, handle
-        )
-        return result
-    result = yield from _transfer_block_sequential(config, src, dst, nbytes)
+    result = yield from _flow_transport(config).transfer_block(
+        src, dst, nbytes, flow, handle
+    )
     return result
-
-
-def _transfer_block_sequential(
-    config: NetworkConfig,
-    src: Node,
-    dst: Node,
-    nbytes: int,
-) -> Generator:
-    """Legacy acquisition order: hold the uplink, then queue on the downlink.
-
-    Kept as the ablation behind ``NetworkConfig.flow_scheduling = False``:
-    this is the path that parks a sender's uplink idle-but-held behind a
-    busy receiver (head-of-line blocking).  On a hierarchical fabric the
-    shared tier links on the path are acquired the same sequential way
-    (after the NIC slots, in path order), so the ablation extends the
-    hold-and-wait discipline to the fabric graph; the acquisition order is
-    identical for every transfer, which keeps it deadlock-free.
-    """
-    sim = src.sim
-    _check_alive(src, dst)
-    fabric = src.cluster.fabric if src.cluster is not None else None
-    path = fabric.path_links(src.node_id, dst.node_id) if fabric is not None else ()
-    up_req = src.uplink.request()
-    try:
-        yield up_req
-        _check_alive(src, dst)
-        down_req = dst.downlink.request()
-        try:
-            yield down_req
-            _check_alive(src, dst)
-            tier_reqs = []
-            try:
-                for link in path:
-                    req = link.resource.request()
-                    tier_reqs.append((link, req))
-                    yield req
-                    _check_alive(src, dst)
-                yield sim.timeout(path_transmission_time(config, src, dst, nbytes))
-                _check_alive(src, dst)
-            finally:
-                for link, req in tier_reqs:
-                    link.resource.release(req)
-        finally:
-            dst.downlink.release(down_req)
-    finally:
-        src.uplink.release(up_req)
-    yield sim.timeout(path_latency(config, src, dst))
-    _check_alive(dst)
-    return sim.now
 
 
 def transfer_bytes(
@@ -176,44 +120,52 @@ def transfer_bytes(
     :func:`transfer_block` themselves so they can observe per-block progress.
     Zero-byte moves complete immediately (see the module docstring).
     """
+    result = yield from _move(config, src, dst, nbytes, flow or DEFAULT_FLOW, False)
+    return result
+
+
+def _move(
+    config: NetworkConfig,
+    src: Node,
+    dst: Node,
+    nbytes: int,
+    flow: Optional[Flow],
+    copy: bool,
+) -> Generator:
+    """The loop behind :func:`transfer_bytes` and :func:`local_copy`.
+
+    A ``copy`` moves over the node's memcpy channel, anything else over the
+    NIC path.  Coalesced fast path: the rest of the object in one
+    timeline event while this stream has its links to itself (see
+    net/coalesce for the exactness argument); any disturbance re-splits
+    back to per-block.
+    """
     sim = src.sim
     if nbytes <= 0:
         _check_alive(src, dst)
         return sim.now
     total_blocks = config.num_blocks(nbytes)
-    links = nic_path_links(src, dst)
+    if copy:
+        links = [(dst.memcpy_channel, None)]
+        time_of = config.memcpy_time
+    else:
+        links = nic_path_links(src, dst)
+        time_of = lambda nb: path_transmission_time(config, src, dst, nb)  # noqa: E731
     register_stream(links)
     try:
         index = 0
         while index < total_blocks:
-            # Coalesced fast path: the rest of the object in one timeline
-            # event when this stream has the whole path to itself (see
-            # net/coalesce for the exactness argument); any disturbance
-            # re-splits back to per-block.
-            if config.flow_scheduling and total_blocks - index >= 2:
-                if coalesce_eligible(links, src, dst):
-                    sizes, tx = run_blocks(
-                        config,
-                        nbytes,
-                        index,
-                        total_blocks,
-                        lambda nb: path_transmission_time(config, src, dst, nb),
-                    )
-                    run = CoalescedRun(
-                        sim,
-                        src,
-                        dst,
-                        flow or DEFAULT_FLOW,
-                        sizes,
-                        tx,
-                        path_latency(config, src, dst),
-                        links,
-                    )
-                    index += yield from run.run()
-                    continue
-            yield from transfer_block(
-                config, src, dst, config.block_bytes(nbytes, index), flow
-            )
+            if total_blocks - index >= 2 and coalesce_eligible(links, src, dst):
+                sizes, tx = run_blocks(config, nbytes, index, total_blocks, time_of)
+                latency = 0.0 if copy else path_latency(config, src, dst)
+                run = CoalescedRun(sim, src, dst, flow, sizes, tx, latency, links)
+                index += yield from run.run()
+                continue
+            nbytes_j = config.block_bytes(nbytes, index)
+            if copy:
+                yield from local_copy_block(config, dst, nbytes_j)
+            else:
+                yield from transfer_block(config, src, dst, nbytes_j, flow)
             index += 1
     finally:
         unregister_stream(links)
@@ -265,28 +217,8 @@ def local_copy(config: NetworkConfig, node: Node, nbytes: int) -> Generator:
     Zero-byte copies complete immediately — the same contract as
     :func:`transfer_bytes`.
     """
-    sim = node.sim
-    if nbytes <= 0:
-        _check_alive(node)
-        return sim.now
-    total_blocks = config.num_blocks(nbytes)
-    links = [(node.memcpy_channel, None)]
-    register_stream(links)
-    try:
-        index = 0
-        while index < total_blocks:
-            if total_blocks - index >= 2 and coalesce_eligible(links, node, node):
-                sizes, tx = run_blocks(
-                    config, nbytes, index, total_blocks, config.memcpy_time
-                )
-                run = CoalescedRun(sim, node, node, None, sizes, tx, 0.0, links)
-                index += yield from run.run()
-                continue
-            yield from local_copy_block(config, node, config.block_bytes(nbytes, index))
-            index += 1
-    finally:
-        unregister_stream(links)
-    return sim.now
+    result = yield from _move(config, node, node, nbytes, None, True)
+    return result
 
 
 def control_rpc(config: NetworkConfig, src: Node, dst: Node) -> Generator:

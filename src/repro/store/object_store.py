@@ -103,8 +103,6 @@ class StoredObject:
 
     @property
     def progress_fraction(self) -> float:
-        if self.num_blocks == 0:
-            return 1.0
         return self.blocks_ready / self.num_blocks
 
     def mark_block_ready(self, block_index: int) -> None:

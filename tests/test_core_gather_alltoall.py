@@ -196,8 +196,9 @@ def test_hoplite_allgather_within_pipelined_bound():
 def test_hoplite_alltoall_within_pipelined_bound():
     """Acceptance: flow-scheduled alltoall within 1.2x of (n-1) * S / B.
 
-    The sequential-acquisition transport left this at ~1.5x (head-of-line
-    blocking at busy receivers); the reservation-based admission closes it.
+    Acquiring a block's uplink before queueing on its downlink left this at
+    ~1.5x (head-of-line blocking at busy receivers); the reservation-based
+    admission closes it.
     """
     network = NetworkConfig()
     for num_nodes in (8, 16):

@@ -240,6 +240,81 @@ def test_reduce_makes_progress_before_last_arrival():
     assert np.allclose(outcome["array"], sum(range(1, 7)))
 
 
+def _reduce_two_per_node(degree):
+    """Six objects, two per node on three nodes, arriving 10 ms apart.
+
+    Objects that share a node land in parent/child slots of each other, so
+    their partial streams move over the memcpy channel.
+    """
+    cluster = Cluster(num_nodes=3, network=NetworkConfig())
+    runtime = HopliteRuntime(cluster, options=HopliteOptions(reduce_degree=degree))
+    sim = cluster.sim
+    source_ids = [ObjectID.of(f"src-{i}") for i in range(6)]
+    target_id = ObjectID.of("target")
+    outcome = {}
+
+    def producer(i):
+        yield sim.timeout(0.01 * i)
+        value = ObjectValue.from_array(np.full(4, float(i + 1)), logical_size=16 * MB)
+        yield from runtime.client(i // 2).put(source_ids[i], value)
+
+    def reducer():
+        client = runtime.client(0)
+        yield from client.reduce(target_id, source_ids)
+        value = yield from client.get(target_id)
+        outcome["array"] = value.as_array()
+        outcome["finish"] = sim.now
+
+    for i in range(6):
+        sim.process(producer(i))
+    sim.process(reducer())
+    cluster.run(until=600.0)
+    return outcome
+
+
+@pytest.mark.parametrize("degree", [1, 2, 0])
+def test_same_node_reduce_stream(monkeypatch, degree):
+    """A partial stream whose child and parent share a node is exact.
+
+    It streams over the memcpy channel: block by block with the fast paths
+    off, and as a coalesced local-copy run with them on.  Both give the same
+    sum at the same simulated instant.
+    """
+    import repro.core.stream as stream_mod
+    from repro.net.fastpath import fastpath
+    from repro.store.objects import reset_id_counter
+
+    moved = {"blocks": 0, "runs": 0}
+    local_copy_block = stream_mod.local_copy_block
+    build_pull_run = stream_mod.build_pull_run
+
+    def counting_block(config, node, nbytes, handle=None):
+        if handle is not None and handle.source_entry is not None:
+            moved["blocks"] += 1
+        return local_copy_block(config, node, nbytes, handle)
+
+    def counting_run(*args, **kwargs):
+        if kwargs.get("local_copy"):
+            moved["runs"] += 1
+        return build_pull_run(*args, **kwargs)
+
+    monkeypatch.setattr(stream_mod, "local_copy_block", counting_block)
+    monkeypatch.setattr(stream_mod, "build_pull_run", counting_run)
+    finish = {}
+    for enabled in (True, False):
+        moved.update(blocks=0, runs=0)
+        reset_id_counter()
+        with fastpath(enabled):
+            outcome = _reduce_two_per_node(degree)
+        assert np.allclose(outcome["array"], sum(range(1, 7)))
+        finish[enabled] = outcome["finish"]
+        if enabled:
+            assert moved["runs"] > 0, moved
+        else:
+            assert moved["blocks"] > 0 and moved["runs"] == 0, moved
+    assert finish[True] == finish[False]
+
+
 def test_reduce_replaces_failed_participant():
     """A participant that dies is replaced by the next available object (Section 3.5.2)."""
     delays = {node_id: 0.02 * node_id for node_id in range(8)}

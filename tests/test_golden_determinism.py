@@ -142,6 +142,9 @@ def _event_count_cells():
 
     MB = 1024 * 1024
     return {
+        # The perfbench ``fleet`` and ``faults`` workloads' cells.
+        "fleet_24job_2rack_quick": (lambda: _fleet_cell(2, 4, quick=True), 7896),
+        "fault_matrix_cell": (golden_fault_matrix_cell, 4956),
         # Synchronized: the Reduce starts after every Put finished, so the
         # cell's events are dominated by the Puts' copy-in.
         "reduce_64MB_16n_hoplite": (

@@ -19,7 +19,7 @@ import pytest
 from repro.net import coalesce, convoy
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
-from repro.net.fastpath import COUNTER_KEYS, fastpath, is_enabled, set_enabled
+from repro.net.fastpath import COUNTER_KEYS, fastpath, is_enabled
 from repro.obs.export import (
     SLOTarget,
     evaluate_slos,
@@ -481,11 +481,6 @@ def test_fastpath_context_manager_gates_both_fast_paths():
             assert is_enabled()
         assert not is_enabled()
     assert is_enabled() and coalesce.ENABLED and convoy.ENABLED
-    # set_enabled is the non-context form; restore either way.
-    set_enabled(False)
-    assert not coalesce.ENABLED and not convoy.ENABLED
-    set_enabled(True)
-    assert is_enabled()
 
 
 def _broadcast_fastpath_counts() -> dict:

@@ -263,27 +263,6 @@ def test_flat_topology_reproduces_default_results_exactly(measure, kwargs, monke
     assert flat == default  # bit-for-bit, not approximately
 
 
-def test_sequential_ablation_claims_tier_links_on_fabric():
-    """``flow_scheduling=False`` still routes cross-rack traffic through the fabric."""
-    topo = Topology.racks(2, 2, oversubscription=4.0)
-    config = NetworkConfig(flow_scheduling=False, topology=topo)
-    cluster = Cluster(4, network=config)
-    finish = {}
-
-    def move(src, dst, key):
-        yield from transfer_bytes(config, cluster.node(src), cluster.node(dst), 8 * MB)
-        finish[key] = cluster.sim.now
-
-    cluster.sim.process(move(0, 2, "a"))
-    cluster.sim.process(move(1, 3, "b"))
-    cluster.run()
-    # Two cross-rack flows share the single half-rate tier slot: each block
-    # serializes at B/2 and the flows interleave, so neither can finish
-    # before the combined serialization time of both transfers.
-    combined = 2 * 8 * MB / (config.bandwidth / 2)
-    assert min(finish.values()) >= combined - 2 * config.block_size / (config.bandwidth / 2)
-
-
 # ---------------------------------------------------------------------------
 # Topology-aware collectives
 # ---------------------------------------------------------------------------
